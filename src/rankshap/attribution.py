@@ -2,7 +2,9 @@
 
 Estimators work on a value function v(S, b) where S is the set of visible
 feature indices and b one background vector; expectations over the background
-set are always full means, so the exact estimator is deterministic.
+set are always full means, so the exact estimator is deterministic. The exact
+and permutation estimators also take the batched form `values_fn(visible,
+rows)`, a game's `values`, and evaluate their coalitions in chunks through it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup
 from .errors import CapacityError, EstimationError
-from .masking import coalition_to_template
+from .masking import chunk_size, coalition_to_template
 from .objectives import ListwiseGame, ListwiseObjective
 from .rankers import Scorer
 
@@ -69,8 +71,15 @@ class Attribution:
         with csv_path.open() as fh:
             rows = list(csv.DictReader(fh))
         values = np.empty(len(rows))
+        seen = np.zeros(len(rows), dtype=bool)
         for row in rows:
-            values[int(row["feature_index"])] = float(row["phi"])
+            i = int(row["feature_index"])
+            if not 0 <= i < len(rows) or seen[i]:
+                raise ValueError(
+                    f"{csv_path}: feature_index {i} is repeated or outside 0..{len(rows) - 1}"
+                )
+            seen[i] = True
+            values[i] = float(row["phi"])
         meta = {}
         base_value = 0.0
         sidecar = csv_path.with_suffix(".json")
@@ -81,6 +90,10 @@ class Attribution:
 
 
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
+ValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Widest game the exact estimator enumerates: coalitions are uint32 bit masks.
+EXACT_MAX_N = 31
 
 
 def shapley_weight(n: int, s: int) -> float:
@@ -113,6 +126,19 @@ def _make_mean_value(value_fn: ValueFn, B: np.ndarray, mean_value_fn):
     return lambda visible: float(np.mean([value_fn(visible, b) for b in B]))
 
 
+def _batched(value_fn: ValueFn, values_fn: ValuesFn | None) -> ValuesFn:
+    """`values_fn`, or the scalar `value_fn` lifted to values(visible, rows)."""
+    if values_fn is not None:
+        return values_fn
+
+    def values(visible, rows):
+        return np.array(
+            [value_fn(tuple(np.flatnonzero(v).tolist()), b) for v, b in zip(visible, rows)]
+        )
+
+    return values
+
+
 def _popcount(a: np.ndarray) -> np.ndarray:
     a = a - ((a >> 1) & 0x55555555)
     a = (a & 0x33333333) + ((a >> 2) & 0x33333333)
@@ -126,16 +152,36 @@ def exact_shapley(
     *,
     exact_limit: int = 20,
     mean_value_fn=None,
+    values_fn: ValuesFn | None = None,
 ) -> Attribution:
-    """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
-    if n > exact_limit:
-        raise CapacityError(f"exact enumeration needs n <= {exact_limit}, got n={n}")
+    """Exact Shapley values by full coalition enumeration (2^n evaluations).
+
+    Coalition means come from `values_fn` over each chunk of coalitions tiled
+    over the background, else from `mean_value_fn`, else from `value_fn`.
+    """
+    limit = min(exact_limit, EXACT_MAX_N)
+    if n > limit:
+        raise CapacityError(f"exact enumeration needs n <= {limit}, got n={n}")
     B = _background_array(background)
-    vtilde = _make_mean_value(value_fn, B, mean_value_fn)
-    V = np.empty(1 << n)
-    for mask in range(1 << n):
-        V[mask] = vtilde(_mask_to_indices(mask, n))
+    k = len(B)
+    if values_fn is None and mean_value_fn is not None:
+        def means(vis):
+            return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in vis])
+    else:
+        evaluate = _batched(value_fn, values_fn)
+
+        def means(vis):
+            c = len(vis)
+            vals = evaluate(np.repeat(vis, k, axis=0), np.tile(B, (c, 1)))
+            return vals.reshape(c, k).mean(axis=1)
+
     masks = np.arange(1 << n, dtype=np.uint32)
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    V = np.empty(1 << n)
+    step = chunk_size(k * n * 8)
+    for lo in range(0, 1 << n, step):
+        chunk = masks[lo:lo + step]
+        V[lo:lo + len(chunk)] = means((chunk[:, None] & bits) != 0)
     sizes = _popcount(masks)
     w = np.array([shapley_weight(n, s) for s in range(n)])
     values = np.empty(n)
@@ -157,30 +203,40 @@ def permutation_shapley(
     background,
     n_samples: int,
     seed: int,
+    *,
+    values_fn: ValuesFn | None = None,
 ) -> Attribution:
     """Monte Carlo Shapley estimation by sampled feature permutations.
 
     One sample draws a permutation and one background vector and walks the
     permutation once, so it yields a marginal contribution for every feature
-    at the cost of n+1 value evaluations.
+    at the cost of n+1 value evaluations. The n+1 prefixes of a chunk of
+    samples are evaluated in one batch; contributions are still summed sample
+    by sample, in the order they are drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     B = _background_array(background)
+    evaluate = _batched(value_fn, values_fn)
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
     base_sum = 0.0
-    for _ in range(n_samples):
-        sigma = rng.permutation(n)
-        b = B[rng.integers(len(B))]
-        visible: list[int] = []
-        prev = value_fn(tuple(visible), b)
-        base_sum += prev
-        for i in sigma:
-            visible.append(int(i))
-            cur = value_fn(tuple(visible), b)
-            contrib[i] += cur - prev
-            prev = cur
+    prefix = np.arange(n + 1)[:, None]
+    step = chunk_size((n + 1) * n * 8)
+    for lo in range(0, n_samples, step):
+        c = min(step, n_samples - lo)
+        sigmas = np.empty((c, n), dtype=np.intp)
+        rows = np.empty((c, n))
+        for j in range(c):
+            sigmas[j] = rng.permutation(n)
+            rows[j] = B[rng.integers(len(B))]
+        # Prefix j of a permutation holds the features at positions below j.
+        pos = np.argsort(sigmas, axis=1)
+        visible = (prefix > pos[:, None, :]).reshape(c * (n + 1), n)
+        vals = evaluate(visible, np.repeat(rows, n + 1, axis=0)).reshape(c, n + 1)
+        for sigma, v in zip(sigmas, vals):
+            base_sum += float(v[0])
+            contrib[sigma] += np.diff(v)
     meta = {
         "estimator": "permutation",
         "n_samples": n_samples,
@@ -286,15 +342,17 @@ def kernel_shap(
     return Attribution(values=phi, base_value=base, meta=meta)
 
 
-def _run_estimator(value_fn, n, background, cfg: EstimatorConfig, mean_value_fn=None) -> Attribution:
+def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
     if cfg.kind == "exact":
         return exact_shapley(
-            value_fn, n, background, exact_limit=cfg.exact_limit, mean_value_fn=mean_value_fn
+            game.value, game.n, background, exact_limit=cfg.exact_limit, values_fn=game.values
         )
     if cfg.kind == "permutation":
-        return permutation_shapley(value_fn, n, background, cfg.n_samples, cfg.seed)
+        return permutation_shapley(
+            game.value, game.n, background, cfg.n_samples, cfg.seed, values_fn=game.values
+        )
     return kernel_shap(
-        value_fn, n, background, cfg.n_samples, cfg.seed, mean_value_fn=mean_value_fn
+        game.value, game.n, background, cfg.n_samples, cfg.seed, mean_value_fn=game.mean_value
     )
 
 
@@ -318,7 +376,7 @@ def rankingshap_explain(
         }
         return Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
     game = ListwiseGame(group, scorer, objective, B)
-    attr = _run_estimator(game.value, game.n, background, cfg, mean_value_fn=game.mean_value)
+    attr = _run_estimator(game, background, cfg)
     attr.meta["objective"] = objective.describe()
     attr.meta["query_id"] = group.query_id
     return attr
@@ -333,15 +391,16 @@ class _PointwiseGame:
         self.B = B
         self.n = len(self.x)
 
-    def _values_for(self, visible, B: np.ndarray) -> np.ndarray:
-        t = coalition_to_template(visible, self.n)
-        return self.scorer.score_batch(np.where(t == 0, self.x[None, :], B))
+    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Scores of x masked by each (visible[i], rows[i]) pair."""
+        return self.scorer.score_batch(np.where(visible, self.x, rows))
 
     def value(self, visible, b: np.ndarray) -> float:
-        return float(self._values_for(visible, np.asarray(b, dtype=float)[None, :])[0])
+        t = coalition_to_template(visible, self.n)
+        return float(self.values(t == 0, np.asarray(b, dtype=float)[None, :])[0])
 
     def mean_value(self, visible) -> float:
-        return float(self._values_for(visible, self.B).mean())
+        return float(self.values(coalition_to_template(visible, self.n) == 0, self.B).mean())
 
 
 def pointwise_shap_explain(
@@ -361,7 +420,7 @@ def pointwise_shap_explain(
     base = 0.0
     for doc in order[:take]:
         game = _PointwiseGame(group.documents[int(doc)].features, scorer, B)
-        attr = _run_estimator(game.value, game.n, background, cfg, mean_value_fn=game.mean_value)
+        attr = _run_estimator(game, background, cfg)
         values += attr.values
         base += attr.base_value
     meta = {

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import Attribution, _background_array, _make_mean_value
+from .attribution import Attribution, _background_array
 from .data import BackgroundSet, QueryGroup
 from .objectives import ListwiseGame, ListwiseObjective
 from .rankers import Scorer

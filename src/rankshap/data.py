@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,6 +102,12 @@ def _parse_line(line: str, line_no: int) -> tuple[int, str, dict[int, float]]:
         if key in feats:
             raise ParseError(line_no, f"duplicate feature key {key}")
         feats[key] = val
+    # One sum per line keeps the check cheap; a sum that overflowed from
+    # finite values passes the per-value check.
+    if not math.isfinite(sum(feats.values())):
+        for key, val in feats.items():
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite feature value {key}:{val!r}")
     return relevance, qid, feats
 
 

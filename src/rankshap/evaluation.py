@@ -58,7 +58,9 @@ def estimate_ground_truth(
         raise ValueError(f"need at least 2 runs for a std estimate, got {runs}")
     game = ListwiseGame(group, scorer, objective, _background_array(background))
     per_run = [
-        permutation_shapley(game.value, game.n, background, n_samples, run_seed)
+        permutation_shapley(
+            game.value, game.n, background, n_samples, run_seed, values_fn=game.values
+        )
         for run_seed in _spawn_seeds(seed, runs)
     ]
     stacked = np.stack([a.values for a in per_run])
@@ -124,7 +126,9 @@ def stability_curve(
             else:
                 background = pool[:size]
             game = ListwiseGame(group, scorer, objective, background)
-            attr = permutation_shapley(game.value, game.n, background, n_samples, run_seed)
+            attr = permutation_shapley(
+                game.value, game.n, background, n_samples, run_seed, values_fn=game.values
+            )
             run_values.append(attr.values)
         stacked = np.stack(run_values)
         std = stacked.std(axis=0, ddof=1)
@@ -280,7 +284,7 @@ def run_benchmark(
         if gt_source == "exact":
             gt = exact_shapley(
                 game.value, game.n, background,
-                exact_limit=cfg.exact_limit, mean_value_fn=game.mean_value,
+                exact_limit=cfg.exact_limit, values_fn=game.values,
             ).values
         else:
             gt = estimate_ground_truth(

@@ -14,6 +14,16 @@ import numpy as np
 from .data import Document, QueryGroup
 from .errors import DimensionError
 
+# Byte budget of one batch of masked rows. The batched game and the estimators
+# cut their coalition batches into chunks of at most this size.
+MASK_BUDGET_BYTES = 256 * 1024
+
+
+def chunk_size(item_bytes: int, group: int = 1) -> int:
+    """Items per chunk: whole groups of `group` items within MASK_BUDGET_BYTES,
+    and at least one group."""
+    return group * max(1, MASK_BUDGET_BYTES // (group * item_bytes))
+
 
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:
     """Template with bit 0 at each visible feature index, 1 elsewhere."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup
 from .errors import DimensionError
-from .masking import coalition_to_template, masked_matrix
+from .masking import chunk_size, coalition_to_template, masked_matrix
 from .rankers import Scorer, rank, rank_many
 
 
@@ -227,10 +227,10 @@ def value_function(
 
 
 class ListwiseGame:
-    """Coalition game for one query: v(S, b) with vectorized background means.
+    """Coalition game for one query: v(S, b) evaluated in batches by `values`.
 
-    `value` follows the masked-rank-reduce pipeline exactly; `mean_value`
-    evaluates all background rows in one scorer batch.
+    `value`, `values_over_background` and `mean_value` wrap `values` for one
+    coalition; `mean_value` evaluates all background rows in one scorer batch.
     """
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
@@ -246,20 +246,37 @@ class ListwiseGame:
         self.n = self.X.shape[1]
         self.m = self.X.shape[0]
 
-    def _values_for(self, visible, B: np.ndarray) -> np.ndarray:
-        t = coalition_to_template(visible, self.n)
-        k = B.shape[0]
-        # (k, m, n): each background row masks the whole group identically.
-        masked = np.where(t == 0, self.X[None, :, :], B[:, None, :])
-        scores = self.scorer.score_batch(masked.reshape(k * self.m, self.n))
-        perms = rank_many(scores.reshape(k, self.m))
-        return self.objective.evaluate_many(perms)
+    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Objective values of k masked lists, one per row of the (k, n) `rows`.
+
+        List i keeps the features where the boolean visible[i] is True and
+        takes rows[i] elsewhere, in every document; a single (1, n) `visible`
+        row applies to all k. A chunk holds as many whole background batches
+        as fit in MASK_BUDGET_BYTES of mask tensor, and at least one; each
+        chunk makes one score, rank and reduce call.
+        """
+        k = len(rows)
+        step = chunk_size(self.m * self.n * 8, len(self.background))
+        if k > step:
+            visible = np.broadcast_to(visible, rows.shape)
+        out = np.empty(k)
+        for lo in range(0, k, step):
+            vis, B = visible[lo:lo + step], rows[lo:lo + step]
+            # (c, m, n): each row masks the whole group identically.
+            masked = np.where(vis[:, None, :], self.X, B[:, None, :])
+            scores = self.scorer.score_batch(masked.reshape(len(B) * self.m, self.n))
+            perms = rank_many(scores.reshape(len(B), self.m))
+            out[lo:lo + len(B)] = self.objective.evaluate_many(perms)
+        return out
+
+    def _visible(self, visible) -> np.ndarray:
+        return coalition_to_template(visible, self.n)[None, :] == 0
 
     def value(self, visible, b: np.ndarray) -> float:
-        return float(self._values_for(visible, np.asarray(b, dtype=float)[None, :])[0])
+        return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
 
     def values_over_background(self, visible) -> np.ndarray:
-        return self._values_for(visible, self.background)
+        return self.values(self._visible(visible), self.background)
 
     def mean_value(self, visible) -> float:
         return float(self.values_over_background(visible).mean())

@@ -17,7 +17,13 @@ class Scorer:
         raise NotImplementedError
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
-        """Score a (k, n) matrix of feature vectors; default loops over rows."""
+        """Score a (k, n) matrix of feature vectors; default loops over rows.
+
+        A row's score must not depend on the other rows of the batch: games
+        score coalitions in chunks, and a fully masked list ranks by exact
+        ties. A BLAS matrix-vector product breaks this, because it sums the
+        rows of a trailing block in a different order.
+        """
         return np.array([self.score(row) for row in X])
 
 
@@ -63,12 +69,18 @@ def rank_many(score_matrix: np.ndarray) -> np.ndarray:
 def load_scorer(source) -> Scorer:
     """Build a scorer from a config dict, JSON string, or JSON file path.
 
+    A string that does not start with `{` is a path, and a missing file
+    raises FileNotFoundError naming it.
+
     Supported configs: {"kind": "linear", "weights": [...]} and
     {"kind": "talent", "variant": "biased"|"unbiased"}.
     """
-    if isinstance(source, (str, Path)):
-        p = Path(source)
-        cfg = json.loads(p.read_text() if p.exists() else str(source))
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        cfg = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        if not Path(source).is_file():
+            raise FileNotFoundError(f"scorer file not found: {source}")
+        cfg = json.loads(Path(source).read_text())
     else:
         cfg = dict(source)
     kind = cfg.get("kind")

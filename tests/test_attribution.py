@@ -103,6 +103,17 @@ class TestExactShapley:
         with pytest.raises(CapacityError):
             exact_shapley(lambda S, b: 0.0, 25, bg(25))
 
+    def test_width_guard_ignores_higher_exact_limit(self):
+        def never(*args):
+            raise AssertionError("evaluated a coalition past the width guard")
+
+        with pytest.raises(CapacityError, match="n <= 31"):
+            exact_shapley(never, 33, bg(33), exact_limit=40, values_fn=never)
+        cfg = EstimatorConfig(kind="exact", exact_limit=40)
+        group, scorer, objective, background = make_linear_instance(33, 3, seed=0)
+        with pytest.raises(CapacityError):
+            rankingshap_explain(group, scorer, objective, background, cfg)
+
     def test_uses_full_background_mean(self, rng):
         # phi for an identity game on feature 0 equals x0 - mean(b0) exactly.
         x0 = 2.0
@@ -299,6 +310,21 @@ class TestAttributionSerialization:
         np.testing.assert_array_equal(back.values, attr.values)
         assert back.base_value == attr.base_value
         assert back.meta["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "indices,bad", [((0, 0), "0"), ((0, 2), "2"), ((1, 0, 3), "3"), ((0, -1), "-1")]
+    )
+    def test_load_rejects_bad_feature_indices(self, tmp_path, indices, bad):
+        path = tmp_path / "attr.csv"
+        rows = "".join(f"{i},{0.5 * j}\n" for j, i in enumerate(indices))
+        path.write_text("feature_index,phi\n" + rows)
+        with pytest.raises(ValueError, match=f"attr.csv: feature_index {bad} "):
+            Attribution.load(path)
+
+    def test_load_accepts_any_row_order(self, tmp_path):
+        path = tmp_path / "attr.csv"
+        path.write_text("feature_index,phi\n1,2.0\n0,1.0\n")
+        np.testing.assert_array_equal(Attribution.load(path).values, [1.0, 2.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,36 @@ def test_evaluate_gt_file_dimension_mismatch_exit_2(workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("indices", [(0, 0, 1), (0, 1, 3)])
+def test_evaluate_gt_file_bad_feature_index_exit_2(tmp_path, capsys, indices):
+    gt = tmp_path / "gt.csv"
+    gt.write_text("feature_index,phi\n" + "".join(f"{i},0.5\n" for i in indices))
+    code = main(["evaluate", "--gt-file", str(gt), "--pred", str(gt),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "gt.csv: feature_index" in capsys.readouterr().err
+
+
+def test_missing_scorer_file_exit_2(workspace, capsys):
+    tmp, data, _ = workspace
+    code = main([
+        "explain", "--data", str(data), "--scorer", str(tmp / "scorr.json"),
+        "--out", str(tmp / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scorr.json" in err and "Expecting value" not in err
+
+
+def test_inline_json_scorer(workspace):
+    tmp, data, _ = workspace
+    code = main([
+        "explain", "--data", str(data), "--estimator", "exact", "--background", "2",
+        "--scorer", '{"kind": "linear", "weights": [1, 0, 0, 0, 0]}', "--out", str(tmp / "o"),
+    ])
+    assert code == 0
+
+
 def test_evaluate_gt_file_self_evaluation(tmp_path):
     from rankshap import Attribution
 

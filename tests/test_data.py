@@ -50,6 +50,24 @@ def test_parse_errors_carry_line_number(line, fragment):
         parse_letor(line)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    bad=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]),
+    line_no=st.integers(1, 4),
+)
+def test_parse_rejects_non_finite_values(bad, line_no):
+    lines = [f"1 qid:1 1:0.5 2:{i}.25" for i in range(4)]
+    lines[line_no - 1] = f"1 qid:1 1:0.5 2:{bad}"
+    with pytest.raises(ParseError, match=f"line {line_no}: non-finite") as exc:
+        parse_letor("\n".join(lines))
+    assert exc.value.line_no == line_no
+
+
+def test_parse_accepts_finite_values_whose_sum_overflows():
+    (doc,) = parse_letor("1 qid:1 1:1.7e308 2:1.7e308 3:-1e308")
+    np.testing.assert_array_equal(doc.features, [1.7e308, 1.7e308, -1e308])
+
+
 def test_parse_error_on_later_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_letor("1 qid:1 1:0.1\n1 qid:1 1:0.2\nbad line here")
