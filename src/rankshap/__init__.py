@@ -36,19 +36,14 @@ from .evaluation import (
     stability_curve,
     valdis_metric,
 )
-from .masking import apply_mask, coalition_to_template, masked_group
+from .masking import coalition_to_template
 from .objectives import (
     DocRankObjective,
     KendallTauObjective,
     ListwiseObjective,
     TopKTauObjective,
-    doc_rank_distance,
-    kendall_tau,
     make_objective,
     reference_ranking,
-    subset_tau,
-    topk_tau,
-    value_function,
 )
 from .rankers import LinearScorer, Scorer, load_scorer, rank
 from .synthetic import build_scenarios, run_synthetic, sample_talent_background

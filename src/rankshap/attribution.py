@@ -21,7 +21,7 @@ import numpy as np
 from .data import BackgroundSet, QueryGroup
 from .errors import CapacityError, EstimationError
 from .masking import chunk_size, coalition_to_template
-from .objectives import ListwiseGame, ListwiseObjective
+from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
 
@@ -30,7 +30,6 @@ class EstimatorConfig:
     kind: str = "exact"  # exact | permutation | kernel
     n_samples: int = 2048
     seed: int = 0
-    exact_limit: int = 20
 
     def __post_init__(self):
         if self.kind not in ("exact", "permutation", "kernel"):
@@ -92,8 +91,9 @@ class Attribution:
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
 ValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Widest game the exact estimator enumerates: coalitions are uint32 bit masks.
-EXACT_MAX_N = 31
+# Widest game the exact estimator enumerates: at n = 20 the 2^n uint32
+# coalition masks take 4 MiB and their values V 8 MiB.
+EXACT_MAX_N = 20
 
 
 def shapley_weight(n: int, s: int) -> float:
@@ -114,6 +114,18 @@ def kernel_weight(n: int, s: int) -> float:
 
 def _background_array(background) -> np.ndarray:
     return np.asarray(getattr(background, "vectors", background), dtype=float)
+
+
+def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: int,
+                   **extra) -> dict:
+    """The `meta` dict of an attribution: how it was estimated, plus `extra` keys."""
+    return {
+        "estimator": estimator,
+        "n_samples": n_samples,
+        "background_size": background_size,
+        "seed": seed,
+        **extra,
+    }
 
 
 def _mask_to_indices(mask: int, n: int) -> tuple[int, ...]:
@@ -150,7 +162,6 @@ def exact_shapley(
     n: int,
     background,
     *,
-    exact_limit: int = 20,
     mean_value_fn=None,
     values_fn: ValuesFn | None = None,
 ) -> Attribution:
@@ -159,9 +170,8 @@ def exact_shapley(
     Coalition means come from `values_fn` over each chunk of coalitions tiled
     over the background, else from `mean_value_fn`, else from `value_fn`.
     """
-    limit = min(exact_limit, EXACT_MAX_N)
-    if n > limit:
-        raise CapacityError(f"exact enumeration needs n <= {limit}, got n={n}")
+    if n > EXACT_MAX_N:
+        raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
     B = _background_array(background)
     k = len(B)
     if values_fn is None and mean_value_fn is not None:
@@ -188,12 +198,7 @@ def exact_shapley(
     for i in range(n):
         without = masks[(masks >> i) & 1 == 0]
         values[i] = np.sum(w[sizes[without]] * (V[without | (1 << i)] - V[without]))
-    meta = {
-        "estimator": "exact",
-        "n_samples": 1 << n,
-        "background_size": len(B),
-        "seed": int(getattr(background, "seed", 0)),
-    }
+    meta = estimator_meta("exact", 1 << n, len(B), int(getattr(background, "seed", 0)))
     return Attribution(values=values, base_value=float(V[0]), meta=meta)
 
 
@@ -237,12 +242,7 @@ def permutation_shapley(
         for sigma, v in zip(sigmas, vals):
             base_sum += float(v[0])
             contrib[sigma] += np.diff(v)
-    meta = {
-        "estimator": "permutation",
-        "n_samples": n_samples,
-        "background_size": len(B),
-        "seed": seed,
-    }
+    meta = estimator_meta("permutation", n_samples, len(B), seed)
     return Attribution(values=contrib / n_samples, base_value=base_sum / n_samples, meta=meta)
 
 
@@ -291,8 +291,9 @@ def kernel_shap(
     delta = v_full - base
     if n == 1:
         phi = np.array([delta])
-        meta = {"estimator": "kernel", "n_samples": 2, "background_size": len(B), "seed": seed}
-        return Attribution(values=phi, base_value=base, meta=meta)
+        return Attribution(
+            values=phi, base_value=base, meta=estimator_meta("kernel", 2, len(B), seed)
+        )
 
     counts: dict[int, float] = {}
     if n_samples >= (1 << n):
@@ -332,21 +333,15 @@ def kernel_shap(
         y[row] = vtilde(visible) - base
         w[row] = counts[mask]
     phi = _solve_constrained_wls(Z, y, w, delta)
-    meta = {
-        "estimator": "kernel",
-        "n_samples": n_samples,
-        "coalitions_evaluated": evaluations,
-        "background_size": len(B),
-        "seed": seed,
-    }
+    meta = estimator_meta(
+        "kernel", n_samples, len(B), seed, coalitions_evaluated=evaluations
+    )
     return Attribution(values=phi, base_value=base, meta=meta)
 
 
 def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
     if cfg.kind == "exact":
-        return exact_shapley(
-            game.value, game.n, background, exact_limit=cfg.exact_limit, values_fn=game.values
-        )
+        return exact_shapley(game.value, game.n, background, values_fn=game.values)
     if cfg.kind == "permutation":
         return permutation_shapley(
             game.value, game.n, background, cfg.n_samples, cfg.seed, values_fn=game.values
@@ -367,13 +362,7 @@ def rankingshap_explain(
     B = _background_array(background)
     if len(group) == 1:
         # A single document makes every objective constant: all values are 0.
-        meta = {
-            "estimator": cfg.kind,
-            "n_samples": 0,
-            "background_size": len(B),
-            "seed": cfg.seed,
-            "objective": "constant:m=1",
-        }
+        meta = estimator_meta(cfg.kind, 0, len(B), cfg.seed, objective="constant:m=1")
         return Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
     game = ListwiseGame(group, scorer, objective, B)
     attr = _run_estimator(game, background, cfg)
@@ -411,8 +400,6 @@ def pointwise_shap_explain(
     top_docs: int = 5,
 ) -> Attribution:
     """Mean of the pointwise score attributions of the top-ranked documents."""
-    from .objectives import reference_ranking
-
     B = _background_array(background)
     order = reference_ranking(group, scorer)
     take = min(top_docs, len(group))
@@ -423,12 +410,8 @@ def pointwise_shap_explain(
         attr = _run_estimator(game, background, cfg)
         values += attr.values
         base += attr.base_value
-    meta = {
-        "estimator": f"pointwise-{cfg.kind}",
-        "n_samples": cfg.n_samples,
-        "background_size": len(B),
-        "seed": cfg.seed,
-        "top_docs": take,
-        "query_id": group.query_id,
-    }
+    meta = estimator_meta(
+        f"pointwise-{cfg.kind}", cfg.n_samples, len(B), cfg.seed,
+        top_docs=take, query_id=group.query_id,
+    )
     return Attribution(values=values / take, base_value=base / take, meta=meta)

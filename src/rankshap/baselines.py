@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import Attribution, _background_array
+from .attribution import Attribution, _background_array, estimator_meta
 from .data import BackgroundSet, QueryGroup
 from .objectives import ListwiseGame, ListwiseObjective
 from .rankers import Scorer
@@ -107,5 +107,4 @@ def random_attribution(n: int, seed: int) -> Attribution:
     rng = np.random.default_rng(seed)
     values = rng.uniform(size=n)
     values /= values.sum()
-    meta = {"estimator": "random", "n_samples": 0, "background_size": 0, "seed": seed}
-    return Attribution(values=values, base_value=0.0, meta=meta)
+    return Attribution(values=values, base_value=0.0, meta=estimator_meta("random", 0, 0, seed))

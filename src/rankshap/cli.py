@@ -9,9 +9,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .attribution import EstimatorConfig, pointwise_shap_explain, rankingshap_explain
+from .attribution import EstimatorConfig, rankingshap_explain
 from .data import group_by_query, parse_letor, sample_background
-from .errors import RankShapError
+from .errors import DimensionError, RankShapError
 from .evaluation import (
     estimate_ground_truth,
     expand_method_names,
@@ -45,12 +45,19 @@ def _map_queries(fn, items):
         return list(pool.map(fn, items))
 
 
-def _load_dataset(path: str):
-    docs = parse_letor(Path(path).read_text())
+def _load_inputs(args):
+    """Documents, query groups and scorer; the scorer must read the data's width."""
+    docs = parse_letor(Path(args.data).read_text())
     groups = group_by_query(docs)
     if not groups:
-        raise RankShapError(f"no documents parsed from {path}")
-    return docs, groups
+        raise RankShapError(f"no documents parsed from {args.data}")
+    scorer = load_scorer(args.scorer)
+    if scorer.n_features not in (None, groups[0].n):
+        raise DimensionError(
+            f"scorer {args.scorer} reads {scorer.n_features} features, "
+            f"but {args.data} has {groups[0].n}"
+        )
+    return docs, groups, scorer
 
 
 def _run_config(args, extra=None) -> dict:
@@ -61,8 +68,7 @@ def _run_config(args, extra=None) -> dict:
 
 
 def cmd_explain(args) -> int:
-    docs, groups = _load_dataset(args.data)
-    scorer = load_scorer(args.scorer)
+    docs, groups, scorer = _load_inputs(args)
     n = groups[0].n
     n_samples = args.nsamples if args.nsamples is not None else 2 * n + 2048
     background = sample_background(docs, args.background, args.seed)
@@ -85,12 +91,11 @@ def cmd_explain(args) -> int:
 def cmd_ground_truth(args) -> int:
     if args.runs < 2:
         raise ValueError("ground truth needs --runs >= 2 (std undefined otherwise)")
-    docs, groups = _load_dataset(args.data)
+    docs, groups, scorer = _load_inputs(args)
     if args.query is not None:
         groups = [g for g in groups if g.query_id == args.query]
         if not groups:
             raise RankShapError(f"query {args.query!r} not found")
-    scorer = load_scorer(args.scorer)
     background = sample_background(docs, args.background, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,8 +156,7 @@ def cmd_evaluate(args) -> int:
         print(f"wrote evaluation to {args.out}")
         return EXIT_OK
 
-    _, groups = _load_dataset(args.data)
-    scorer = load_scorer(args.scorer)
+    _, groups, scorer = _load_inputs(args)
     cfg = EstimatorConfig(kind=args.estimator, n_samples=args.nsamples, seed=args.seed)
     methods = expand_method_names(args.methods.split(","))
     report = run_benchmark(

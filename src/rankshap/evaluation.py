@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from .attribution import (
     Attribution,
     EstimatorConfig,
     _background_array,
+    estimator_meta,
     exact_shapley,
     permutation_shapley,
     pointwise_shap_explain,
@@ -67,14 +68,10 @@ def estimate_ground_truth(
     mean_attr = Attribution(
         values=stacked.mean(axis=0),
         base_value=float(np.mean([a.base_value for a in per_run])),
-        meta={
-            "estimator": "ground-truth",
-            "n_samples": n_samples,
-            "runs": runs,
-            "seed": seed,
-            "background_size": len(_background_array(background)),
-            "objective": objective.describe(),
-        },
+        meta=estimator_meta(
+            "ground-truth", n_samples, len(game.background), seed,
+            runs=runs, objective=objective.describe(),
+        ),
     )
     return GroundTruth(
         mean_attribution=mean_attr,
@@ -227,7 +224,9 @@ def expand_method_names(names) -> list[str]:
 
 
 def _run_method(name, group, scorer, objective, background, cfg: EstimatorConfig, seed):
-    qcfg = EstimatorConfig(cfg.kind, cfg.n_samples, seed, cfg.exact_limit)
+    """Attribution values of one method (`rankingshap`, `pointwise`, `random` or
+    `greedy<k>_iter|_marg`) on one query, with `cfg` reseeded to `seed`."""
+    qcfg = replace(cfg, seed=seed)
     if name == "rankingshap":
         return rankingshap_explain(group, scorer, objective, background, qcfg).values
     if name == "pointwise":
@@ -282,10 +281,7 @@ def run_benchmark(
         objective = make_objective(objective_spec, reference_ranking(group, scorer))
         game = ListwiseGame(group, scorer, objective, background)
         if gt_source == "exact":
-            gt = exact_shapley(
-                game.value, game.n, background,
-                exact_limit=cfg.exact_limit, values_fn=game.values,
-            ).values
+            gt = exact_shapley(game.value, game.n, background, values_fn=game.values).values
         else:
             gt = estimate_ground_truth(
                 group, scorer, objective, background, gt_n_samples, gt_runs, qseed

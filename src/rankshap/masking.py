@@ -1,4 +1,4 @@
-"""Coalition encoding and listwise background masking.
+"""Coalition encoding and the memory budget of batched listwise masking.
 
 Convention: template bit 1 means the feature is replaced by the background
 value, bit 0 keeps the original. A coalition lists the VISIBLE features, so
@@ -10,9 +10,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-
-from .data import Document, QueryGroup
-from .errors import DimensionError
 
 # Byte budget of one batch of masked rows. The batched game and the estimators
 # cut their coalition batches into chunks of at most this size.
@@ -34,35 +31,3 @@ def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:
             raise ValueError(f"coalition index out of range for n={n}")
         bits[idx] = 0
     return bits
-
-
-def apply_mask(x: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Keep x where t is 0, take b where t is 1."""
-    x, t, b = np.asarray(x, dtype=float), np.asarray(t), np.asarray(b, dtype=float)
-    if not (x.shape == t.shape == b.shape):
-        raise DimensionError(
-            f"shape mismatch: x{x.shape}, t{t.shape}, b{b.shape}"
-        )
-    return np.where(t == 0, x, b)
-
-
-def masked_matrix(X: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`apply_mask` applied row-wise to a (m, n) feature matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != len(t) or X.shape[1] != len(b):
-        raise DimensionError(f"shape mismatch: X{X.shape}, t({len(t)},), b({len(b)},)")
-    return np.where(np.asarray(t) == 0, X, np.asarray(b, dtype=float))
-
-
-def masked_group(group: QueryGroup, t: np.ndarray, b: np.ndarray) -> QueryGroup:
-    """Apply the same (t, b) mask to every document of the group."""
-    docs = tuple(
-        Document(
-            query_id=d.query_id,
-            doc_index=d.doc_index,
-            features=apply_mask(d.features, t, b),
-            relevance=d.relevance,
-        )
-        for d in group.documents
-    )
-    return QueryGroup(query_id=group.query_id, documents=docs, n=group.n)

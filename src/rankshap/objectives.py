@@ -1,4 +1,4 @@
-"""Listwise explanation objectives and the masked value function.
+"""Listwise explanation objectives and the listwise coalition game.
 
 An objective reduces a perturbed ranking to one scalar similarity against the
 model's unperturbed reference ranking. All variants take their maximum 1.0 at
@@ -7,78 +7,19 @@ the reference permutation, so attribution signs are comparable across them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .data import BackgroundSet, QueryGroup
 from .errors import DimensionError
-from .masking import chunk_size, coalition_to_template, masked_matrix
+from .masking import chunk_size, coalition_to_template
 from .rankers import Scorer, rank, rank_many
-
-
-def _check_perm_pair(pi_ref, pi) -> tuple[np.ndarray, np.ndarray]:
-    a, b = np.asarray(pi_ref, dtype=int), np.asarray(pi, dtype=int)
-    if a.shape != b.shape:
-        raise DimensionError(f"permutation lengths differ: {a.shape} vs {b.shape}")
-    return a, b
 
 
 def _ranks_of(perm: np.ndarray) -> np.ndarray:
     """Position of each doc in the permutation (inverse permutation)."""
     return np.argsort(perm)
-
-
-def kendall_tau(pi_ref, pi) -> float:
-    """Kendall's tau-a over all document pairs (permutations are tie-free)."""
-    a, b = _check_perm_pair(pi_ref, pi)
-    m = len(a)
-    if m < 2:
-        raise ValueError("kendall_tau needs at least 2 documents")
-    ra, rb = _ranks_of(a), _ranks_of(b)
-    iu, ju = np.triu_indices(m, k=1)
-    s = np.sign(ra[iu] - ra[ju]) * np.sign(rb[iu] - rb[ju])
-    return float(s.sum() / len(s))
-
-
-def subset_tau(pi_ref, pi, docs: Iterable[int]) -> float:
-    """Tau restricted to pairs with at least one member in `docs`."""
-    a, b = _check_perm_pair(pi_ref, pi)
-    m = len(a)
-    if m < 2:
-        raise ValueError("subset_tau needs at least 2 documents")
-    members = np.zeros(m, dtype=bool)
-    idx = np.fromiter(docs, dtype=int)
-    if idx.size == 0:
-        raise ValueError("document subset must be non-empty")
-    if idx.min() < 0 or idx.max() >= m:
-        raise ValueError(f"document index out of range for m={m}")
-    members[idx] = True
-    ra, rb = _ranks_of(a), _ranks_of(b)
-    iu, ju = np.triu_indices(m, k=1)
-    keep = members[iu] | members[ju]
-    s = np.sign(ra[iu[keep]] - ra[ju[keep]]) * np.sign(rb[iu[keep]] - rb[ju[keep]])
-    return float(s.sum() / len(s))
-
-
-def topk_tau(pi_ref, pi, k: int) -> float:
-    """Tau over pairs touching the top-k documents of the reference ranking."""
-    a, _ = _check_perm_pair(pi_ref, pi)
-    if not 1 <= k <= len(a):
-        raise ValueError(f"k must be in [1, {len(a)}], got {k}")
-    return subset_tau(pi_ref, pi, a[:k])
-
-
-def doc_rank_distance(pi_ref, pi, j: int) -> float:
-    """1 - |rank shift of doc j| / (m-1); 1 means position preserved."""
-    a, b = _check_perm_pair(pi_ref, pi)
-    m = len(a)
-    if m < 2:
-        raise ValueError("doc_rank_distance needs at least 2 documents")
-    if not 0 <= j < m:
-        raise ValueError(f"doc index {j} out of range for m={m}")
-    return 1.0 - abs(int(_ranks_of(b)[j]) - int(_ranks_of(a)[j])) / (m - 1)
 
 
 class ListwiseObjective:
@@ -214,23 +155,11 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
     raise ValueError(f"unknown objective spec {spec!r}")
 
 
-def value_function(
-    group: QueryGroup,
-    scorer: Scorer,
-    objective: ListwiseObjective,
-    t: np.ndarray,
-    b: np.ndarray,
-) -> float:
-    """Similarity of the masked group's ranking to the reference ranking."""
-    perturbed = masked_matrix(group.feature_matrix(), t, b)
-    return objective.evaluate(rank(scorer.score_batch(perturbed)))
-
-
 class ListwiseGame:
     """Coalition game for one query: v(S, b) evaluated in batches by `values`.
 
-    `value`, `values_over_background` and `mean_value` wrap `values` for one
-    coalition; `mean_value` evaluates all background rows in one scorer batch.
+    `value` and `mean_value` wrap `values` for one coalition; `mean_value`
+    evaluates all background rows in one scorer batch.
     """
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
@@ -275,8 +204,5 @@ class ListwiseGame:
     def value(self, visible, b: np.ndarray) -> float:
         return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
 
-    def values_over_background(self, visible) -> np.ndarray:
-        return self.values(self._visible(visible), self.background)
-
     def mean_value(self, visible) -> float:
-        return float(self.values_over_background(visible).mean())
+        return float(self.values(self._visible(visible), self.background).mean())

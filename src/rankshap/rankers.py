@@ -12,6 +12,8 @@ class Scorer:
     """Deterministic document scorer: feature vector -> real score."""
 
     name: str = "scorer"
+    # Feature width the scorer reads, or None if it takes any width.
+    n_features: int | None = None
 
     def score(self, features: np.ndarray) -> float:
         raise NotImplementedError
@@ -33,7 +35,8 @@ class LinearScorer(Scorer):
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
         self.weights.setflags(write=False)
-        self.name = f"linear[{len(self.weights)}]"
+        self.n_features = len(self.weights)
+        self.name = f"linear[{self.n_features}]"
 
     def score(self, features: np.ndarray) -> float:
         return float(np.dot(self.weights, features))

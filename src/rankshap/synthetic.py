@@ -8,14 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attribution import (
-    Attribution,
-    EstimatorConfig,
-    pointwise_shap_explain,
-    rankingshap_explain,
-)
-from .baselines import greedy_attribution, random_attribution
+from .attribution import EstimatorConfig
+from .baselines import greedy_attribution
 from .data import BackgroundSet, Document, QueryGroup
+from .evaluation import _run_method
 from .objectives import KendallTauObjective, reference_ranking
 from .talent import (
     CANDIDATES,
@@ -87,24 +83,23 @@ def explain_scenario(
     background: BackgroundSet,
     seed: int = 0,
 ) -> np.ndarray:
-    """Attribution values of one method on one scenario (exact estimators)."""
+    """Attribution values of one method on one scenario (exact estimators).
+
+    `greedy<k>` (k defaults to 2) reports iterative attributions and, at
+    k = 2, stops once every remaining feature lowers the objective; the other
+    methods run as in `evaluation.run_benchmark`.
+    """
     group = scenario.group()
     scorer = TalentScorer(variant)
-    cfg = EstimatorConfig(kind="exact", seed=seed)
     objective = KendallTauObjective(reference_ranking(group, scorer))
-    if method == "rankingshap":
-        return rankingshap_explain(group, scorer, objective, background, cfg).values
-    if method == "pointwise":
-        return pointwise_shap_explain(group, scorer, background, cfg).values
     if method.startswith("greedy"):
         k = int(method[len("greedy"):] or 2)
         result = greedy_attribution(
             group, scorer, objective, background, k, stop_on_negative=(k == 2)
         )
         return result.attributions_iter
-    if method == "random":
-        return random_attribution(group.n, seed).values
-    raise ValueError(f"unknown method {method!r}")
+    cfg = EstimatorConfig(kind="exact")
+    return _run_method(method, group, scorer, objective, background, cfg, seed)
 
 
 def run_synthetic(

@@ -138,6 +138,8 @@ class TalentScorer(Scorer):
     scorable.
     """
 
+    n_features = len(FEATURE_NAMES)
+
     def __init__(self, variant: str = "biased"):
         if variant not in ("biased", "unbiased"):
             raise ValueError(f"unknown variant {variant!r}")

@@ -22,6 +22,7 @@ from rankshap import (
     shapley_weight,
 )
 from rankshap.objectives import ListwiseGame
+from rankshap.rankers import Scorer
 
 
 def additive_game(c):
@@ -103,16 +104,19 @@ class TestExactShapley:
         with pytest.raises(CapacityError):
             exact_shapley(lambda S, b: 0.0, 25, bg(25))
 
-    def test_width_guard_ignores_higher_exact_limit(self):
+    def test_width_guard_raises_before_any_evaluation(self):
         def never(*args):
             raise AssertionError("evaluated a coalition past the width guard")
 
-        with pytest.raises(CapacityError, match="n <= 31"):
-            exact_shapley(never, 33, bg(33), exact_limit=40, values_fn=never)
-        cfg = EstimatorConfig(kind="exact", exact_limit=40)
-        group, scorer, objective, background = make_linear_instance(33, 3, seed=0)
-        with pytest.raises(CapacityError):
-            rankingshap_explain(group, scorer, objective, background, cfg)
+        class NeverScorer(Scorer):
+            score_batch = never
+
+        with pytest.raises(CapacityError, match="n <= 20"):
+            exact_shapley(never, 21, bg(21), mean_value_fn=never, values_fn=never)
+        cfg = EstimatorConfig(kind="exact")
+        group, _, objective, background = make_linear_instance(21, 3, seed=0)
+        with pytest.raises(CapacityError, match="n <= 20"):
+            rankingshap_explain(group, NeverScorer(), objective, background, cfg)
 
     def test_uses_full_background_mean(self, rng):
         # phi for an identity game on feature 0 equals x0 - mean(b0) exactly.

@@ -225,3 +225,24 @@ def test_threaded_explain_matches_serial(workspace, monkeypatch):
     main(args + ["--out", str(threaded)])
     for f in sorted(serial.glob("query_*.csv")):
         assert f.read_bytes() == (threaded / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["explain", "ground-truth", "evaluate"])
+def test_scorer_width_mismatch_exit_2(workspace, capsys, command):
+    tmp, data, _ = workspace
+    wide = tmp / "wide.txt"
+    feats = " ".join(f"{k + 1}:0.5" for k in range(46))
+    wide.write_text("\n".join(f"0 qid:q0 {feats}" for _ in range(3)))
+    short = tmp / "short.json"
+    short.write_text(json.dumps({"kind": "linear", "weights": [1.0, 2.0, 3.0]}))
+    talent = tmp / "talent.json"
+    talent.write_text(json.dumps({"kind": "talent"}))
+    out = tmp / "out"
+    for data_file, scorer, width, n in ((data, short, 3, 5), (wide, talent, 5, 46)):
+        code = main([command, "--data", str(data_file), "--scorer", str(scorer),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"scorer {scorer} reads {width} features" in err
+        assert f"{data_file} has {n}" in err
+        assert not out.exists()

@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_group
-from rankshap import (
-    DimensionError,
-    LinearScorer,
-    apply_mask,
-    coalition_to_template,
-    masked_group,
-)
+from oracles import apply_mask, masked_group
+from rankshap import DimensionError, LinearScorer, coalition_to_template
 
 
 def test_coalition_to_template_empty_masks_everything():

@@ -3,23 +3,22 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_group, make_linear_instance
+from oracles import doc_rank_distance, kendall_tau, subset_tau, topk_tau, value_function
 from rankshap import (
     DocRankObjective,
     KendallTauObjective,
     LinearScorer,
     TopKTauObjective,
     coalition_to_template,
-    doc_rank_distance,
-    kendall_tau,
     make_objective,
     rank,
     reference_ranking,
-    subset_tau,
-    topk_tau,
-    value_function,
 )
+from rankshap.objectives import ListwiseGame
 
 
 def test_kendall_identity_and_reversal():
@@ -101,18 +100,43 @@ def test_all_objectives_max_at_reference(rng):
         assert obj.evaluate(ref) == pytest.approx(1.0)
 
 
-def test_evaluate_many_matches_scalar(rng):
-    ref = rng.permutation(6)
-    perms = np.stack([rng.permutation(6) for _ in range(10)])
-    for obj in (
-        KendallTauObjective(ref),
-        TopKTauObjective(ref, k=3),
-        TopKTauObjective(ref, docs=[1, 4]),
-        DocRankObjective(ref, 2),
-    ):
-        np.testing.assert_allclose(
-            obj.evaluate_many(perms), [obj.evaluate(p) for p in perms]
-        )
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 12), data=st.data())
+def test_evaluate_many_matches_scalar(m, data):
+    # Each batched objective class against its scalar oracle, bit for bit.
+    perm = st.permutations(range(m))
+    ref = np.array(data.draw(perm))
+    perms = np.array([ref] + data.draw(st.lists(perm, min_size=1, max_size=8)))
+    k = data.draw(st.integers(1, m))
+    docs = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    j = data.draw(st.integers(0, m - 1))
+    cases = [
+        (make_objective("kendall", ref), lambda p: kendall_tau(ref, p)),
+        (make_objective(f"topk:{k}", ref), lambda p: topk_tau(ref, p, k)),
+        (make_objective("group:" + ",".join(map(str, docs)), ref),
+         lambda p: subset_tau(ref, p, docs)),
+        (make_objective(f"docrank:{j}", ref), lambda p: doc_rank_distance(ref, p, j)),
+    ]
+    for obj, oracle in cases:
+        np.testing.assert_array_equal(obj.evaluate_many(perms), [oracle(p) for p in perms])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(["kendall", "topk:1", "group:0,1", "docrank:1"]),
+    data=st.data(),
+)
+def test_game_value_matches_oracle_value_function(n, m, seed, spec, data):
+    group, scorer, _, background = make_linear_instance(n, m, seed)
+    objective = make_objective(spec, reference_ranking(group, scorer))
+    game = ListwiseGame(group, scorer, objective, background)
+    S = data.draw(st.sets(st.integers(0, n - 1)))
+    t = coalition_to_template(S, n)
+    for b in background.vectors:
+        assert game.value(S, b) == value_function(group, scorer, objective, t, b)
 
 
 def test_make_objective_parsing():
