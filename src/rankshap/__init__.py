@@ -53,10 +53,7 @@ from .talent import (
     TalentScorer,
     University,
     UniversityScheme,
-    decode_candidate,
-    norm_grade,
     talent_features,
-    talent_score,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -128,16 +128,6 @@ def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: i
     }
 
 
-def _mask_to_indices(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
-def _make_mean_value(value_fn: ValueFn, B: np.ndarray, mean_value_fn):
-    if mean_value_fn is not None:
-        return mean_value_fn
-    return lambda visible: float(np.mean([value_fn(visible, b) for b in B]))
-
-
 def _batched(value_fn: ValueFn, values_fn: ValuesFn | None) -> ValuesFn:
     """`values_fn`, or the scalar `value_fn` lifted to values(visible, rows)."""
     if values_fn is not None:
@@ -149,6 +139,33 @@ def _batched(value_fn: ValueFn, values_fn: ValuesFn | None) -> ValuesFn:
         )
 
     return values
+
+
+def _coalition_means(
+    visible: np.ndarray,
+    B: np.ndarray,
+    value_fn: ValueFn,
+    mean_value_fn=None,
+    values_fn: ValuesFn | None = None,
+) -> np.ndarray:
+    """Background mean of v(S, b) for each coalition row of the (c, n) boolean `visible`.
+
+    Uses `values_fn` (or the lifted `value_fn`) over chunks of coalitions tiled
+    over the background, each within MASK_BUDGET_BYTES of rows; without
+    `values_fn`, a given `mean_value_fn` is called once per coalition.
+    """
+    if values_fn is None and mean_value_fn is not None:
+        return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in visible])
+    evaluate = _batched(value_fn, values_fn)
+    k, n = B.shape
+    out = np.empty(len(visible))
+    step = chunk_size(k * n * 8)
+    for lo in range(0, len(visible), step):
+        vis = visible[lo:lo + step]
+        c = len(vis)
+        vals = evaluate(np.repeat(vis, k, axis=0), np.tile(B, (c, 1)))
+        out[lo:lo + c] = vals.reshape(c, k).mean(axis=1)
+    return out
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -173,25 +190,15 @@ def exact_shapley(
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
     B = _background_array(background)
-    k = len(B)
-    if values_fn is None and mean_value_fn is not None:
-        def means(vis):
-            return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in vis])
-    else:
-        evaluate = _batched(value_fn, values_fn)
-
-        def means(vis):
-            c = len(vis)
-            vals = evaluate(np.repeat(vis, k, axis=0), np.tile(B, (c, 1)))
-            return vals.reshape(c, k).mean(axis=1)
-
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     V = np.empty(1 << n)
-    step = chunk_size(k * n * 8)
+    step = chunk_size(len(B) * n * 8)
     for lo in range(0, 1 << n, step):
         chunk = masks[lo:lo + step]
-        V[lo:lo + len(chunk)] = means((chunk[:, None] & bits) != 0)
+        V[lo:lo + len(chunk)] = _coalition_means(
+            (chunk[:, None] & bits) != 0, B, value_fn, mean_value_fn, values_fn
+        )
     sizes = _popcount(masks)
     w = np.array([shapley_weight(n, s) for s in range(n)])
     values = np.empty(n)
@@ -247,10 +254,8 @@ def permutation_shapley(
 
 
 def _solve_constrained_wls(Z: np.ndarray, y: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
-    """Weighted additive fit with the efficiency constraint sum(phi) = delta."""
+    """Weighted additive fit with the efficiency constraint sum(phi) = delta; n >= 2."""
     n = Z.shape[1]
-    if n == 1:
-        return np.array([delta])
     # Eliminate the last coefficient through the constraint, then solve WLS.
     y_adj = y - Z[:, -1] * delta
     X = Z[:, :-1] - Z[:, -1][:, None]
@@ -285,9 +290,11 @@ def kernel_shap(
     if n_samples < 2:
         raise ValueError(f"kernel estimator needs n_samples >= 2, got {n_samples}")
     B = _background_array(background)
-    vtilde = _make_mean_value(value_fn, B, mean_value_fn)
-    base = vtilde(())
-    v_full = vtilde(tuple(range(n)))
+
+    def means(visible):
+        return _coalition_means(visible, B, value_fn, mean_value_fn)
+
+    base, v_full = means(np.array([[False] * n, [True] * n])).tolist()
     delta = v_full - base
     if n == 1:
         phi = np.array([delta])
@@ -323,15 +330,11 @@ def kernel_shap(
                 drawn += 1
         evaluations = 2 + len(counts)
 
-    masks = list(counts)
-    Z = np.zeros((len(masks), n))
-    y = np.empty(len(masks))
-    w = np.empty(len(masks))
-    for row, mask in enumerate(masks):
-        visible = _mask_to_indices(mask, n)
-        Z[row, list(visible)] = 1.0
-        y[row] = vtilde(visible) - base
-        w[row] = counts[mask]
+    # Bit i of a mask is feature i; masks are Python ints, as n may exceed 64.
+    bits = [[mask >> i & 1 for i in range(n)] for mask in counts]
+    Z = np.array(bits, dtype=float).reshape(len(counts), n)
+    y = means(Z != 0) - base
+    w = np.fromiter(counts.values(), dtype=float, count=len(counts))
     phi = _solve_constrained_wls(Z, y, w, delta)
     meta = estimator_meta(
         "kernel", n_samples, len(B), seed, coalitions_evaluated=evaluations

@@ -30,10 +30,10 @@ EXIT_USAGE = 2
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RANKSHAP_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("RANKSHAP_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"RANKSHAP_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _map_queries(fn, items):
@@ -73,14 +73,14 @@ def cmd_explain(args) -> int:
     n_samples = args.nsamples if args.nsamples is not None else 2 * n + 2048
     background = sample_background(docs, args.background, args.seed)
     cfg = EstimatorConfig(kind=args.estimator, n_samples=n_samples, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def explain_one(group):
         objective = make_objective(args.objective, reference_ranking(group, scorer))
         return rankingshap_explain(group, scorer, objective, background, cfg)
 
     attrs = _map_queries(explain_one, groups)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for group, attr in zip(groups, attrs):
         attr.meta["config"] = _run_config(args, {"n_samples": n_samples})
         attr.save(out_dir / f"query_{group.query_id}.csv")
@@ -97,8 +97,6 @@ def cmd_ground_truth(args) -> int:
         if not groups:
             raise RankShapError(f"query {args.query!r} not found")
     background = sample_background(docs, args.background, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def gt_one(group):
         objective = make_objective(args.objective, reference_ranking(group, scorer))
@@ -106,7 +104,10 @@ def cmd_ground_truth(args) -> int:
             group, scorer, objective, background, args.nsamples, args.runs, args.seed
         )
 
-    for group, objective, gt in _map_queries(gt_one, groups):
+    results = _map_queries(gt_one, groups)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for group, objective, gt in results:
         prefix = out_dir / f"gt_{group.query_id}"
         gt.mean_attribution.meta["config"] = _run_config(args)
         gt.mean_attribution.save(prefix.with_suffix(".csv"))
@@ -156,6 +157,9 @@ def cmd_evaluate(args) -> int:
         print(f"wrote evaluation to {args.out}")
         return EXIT_OK
 
+    for flag in ("data", "scorer"):
+        if getattr(args, flag) is None:
+            raise ValueError(f"evaluate needs --{flag} unless --gt-file is given")
     _, groups, scorer = _load_inputs(args)
     cfg = EstimatorConfig(kind=args.estimator, n_samples=args.nsamples, seed=args.seed)
     methods = expand_method_names(args.methods.split(","))

@@ -28,17 +28,27 @@ class ListwiseObjective:
     def __init__(self, reference):
         self.reference = np.asarray(reference, dtype=int)
         self.reference.setflags(write=False)
+        if self.m < 2:
+            raise ValueError("objective needs at least 2 documents")
 
     @property
     def m(self) -> int:
         return len(self.reference)
 
     def evaluate(self, pi) -> float:
-        raise NotImplementedError
+        """Value of one permutation: a one-row `evaluate_many`."""
+        return float(self.evaluate_many(np.asarray(pi, dtype=int)[None, :])[0])
 
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
-        """Evaluate a (k, m) batch of permutations; default loops."""
-        return np.array([self.evaluate(p) for p in perms])
+        """Values of a (k, m) batch of permutations; subclasses implement it."""
+        raise NotImplementedError
+
+    def _check(self, perms) -> np.ndarray:
+        """The (k, m) int permutation matrix; raises if its width is not m."""
+        perms = np.asarray(perms, dtype=int)
+        if perms.shape[1] != self.m:
+            raise DimensionError(f"permutation length {perms.shape[1]} != {self.m}")
+        return perms
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -55,13 +65,8 @@ class _PairTauObjective(ListwiseObjective):
         r = _ranks_of(self.reference)
         self._s_ref = np.sign(r[iu] - r[ju])
 
-    def evaluate(self, pi) -> float:
-        return float(self.evaluate_many(np.asarray(pi, dtype=int)[None, :])[0])
-
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
-        perms = np.asarray(perms, dtype=int)
-        if perms.shape[1] != self.m:
-            raise DimensionError(f"permutation length {perms.shape[1]} != {self.m}")
+        perms = self._check(perms)
         ranks = np.argsort(perms, axis=1)
         s = np.sign(ranks[:, self._iu] - ranks[:, self._ju])
         return (s @ self._s_ref) / len(self._s_ref)
@@ -70,8 +75,6 @@ class _PairTauObjective(ListwiseObjective):
 class KendallTauObjective(_PairTauObjective):
     def __init__(self, reference):
         super().__init__(reference)
-        if self.m < 2:
-            raise ValueError("objective needs at least 2 documents")
         self._init_pairs(None)
 
     def describe(self) -> str:
@@ -83,8 +86,6 @@ class TopKTauObjective(_PairTauObjective):
 
     def __init__(self, reference, k: int | None = None, docs: Iterable[int] | None = None):
         super().__init__(reference)
-        if self.m < 2:
-            raise ValueError("objective needs at least 2 documents")
         if (k is None) == (docs is None):
             raise ValueError("give exactly one of k or docs")
         if k is not None:
@@ -111,20 +112,13 @@ class DocRankObjective(ListwiseObjective):
 
     def __init__(self, reference, target_doc: int):
         super().__init__(reference)
-        if self.m < 2:
-            raise ValueError("objective needs at least 2 documents")
         if not 0 <= target_doc < self.m:
             raise ValueError(f"doc index {target_doc} out of range for m={self.m}")
         self.target_doc = target_doc
         self._ref_rank = int(_ranks_of(self.reference)[target_doc])
 
-    def evaluate(self, pi) -> float:
-        return float(self.evaluate_many(np.asarray(pi, dtype=int)[None, :])[0])
-
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
-        perms = np.asarray(perms, dtype=int)
-        if perms.shape[1] != self.m:
-            raise DimensionError(f"permutation length {perms.shape[1]} != {self.m}")
+        perms = self._check(perms)
         ranks = np.argsort(perms, axis=1)[:, self.target_doc]
         return 1.0 - np.abs(ranks - self._ref_rank) / (self.m - 1)
 

@@ -16,30 +16,37 @@ class Scorer:
     n_features: int | None = None
 
     def score(self, features: np.ndarray) -> float:
-        raise NotImplementedError
+        """Score of one feature vector: a one-row `score_batch`."""
+        return float(self.score_batch(np.asarray(features, dtype=float)[None, :])[0])
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
-        """Score a (k, n) matrix of feature vectors; default loops over rows.
+        """Score a (k, n) matrix of feature vectors; subclasses implement it.
 
         A row's score must not depend on the other rows of the batch: games
         score coalitions in chunks, and a fully masked list ranks by exact
         ties. A BLAS matrix-vector product breaks this, because it sums the
         rows of a trailing block in a different order.
         """
-        return np.array([self.score(row) for row in X])
+        raise NotImplementedError
 
 
 class LinearScorer(Scorer):
     """Dot product of a fixed weight vector with the features."""
 
     def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=float)
+        try:
+            self.weights = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"linear scorer weights must be numbers, got {weights!r}") from None
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            shape = self.weights.shape
+            raise ValueError(f"linear scorer needs a non-empty 1-D weight list, got shape {shape}")
+        if not np.isfinite(self.weights).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.weights))[0])
+            raise ValueError(f"linear scorer weight {bad} is not finite: {self.weights[bad]}")
         self.weights.setflags(write=False)
         self.n_features = len(self.weights)
         self.name = f"linear[{self.n_features}]"
-
-    def score(self, features: np.ndarray) -> float:
-        return float(np.dot(self.weights, features))
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         # Row-wise reduction instead of gemv: BLAS may sum remainder rows in a
@@ -56,9 +63,7 @@ def rank(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("cannot rank an empty score list")
-    if np.isnan(scores).any():
-        raise ValueError("NaN score")
-    return np.argsort(-scores, kind="stable")
+    return rank_many(scores[None, :])[0]
 
 
 def rank_many(score_matrix: np.ndarray) -> np.ndarray:
@@ -88,6 +93,8 @@ def load_scorer(source) -> Scorer:
         cfg = dict(source)
     kind = cfg.get("kind")
     if kind == "linear":
+        if "weights" not in cfg:
+            raise ValueError("linear scorer config needs a 'weights' list")
         return LinearScorer(cfg["weights"])
     if kind == "talent":
         from .talent import TalentScorer

@@ -14,12 +14,12 @@ from .data import BackgroundSet, Document, QueryGroup
 from .evaluation import _run_method
 from .objectives import KendallTauObjective, reference_ranking
 from .talent import (
+    _BEST,
+    _WORST,
     CANDIDATES,
     FEATURE_NAMES,
-    SCHEMES,
     UNIVERSITY_CODES,
     TalentScorer,
-    University,
     talent_features,
 )
 
@@ -62,12 +62,7 @@ def sample_talent_background(size: int = 100, seed: int = 0) -> BackgroundSet:
     experience = rng.uniform(size=size)
     skills = rng.uniform(size=size)
     codes = rng.integers(0, len(UNIVERSITY_CODES), size=size)
-    code_to_uni = {c: u for u, c in UNIVERSITY_CODES.items()}
-    grades = np.empty(size)
-    for i, code in enumerate(codes):
-        scheme = SCHEMES[code_to_uni[int(code)]]
-        lo, hi = sorted((scheme.best_grade, scheme.worst_passing_grade))
-        grades[i] = rng.uniform(lo, hi)
+    grades = rng.uniform(np.minimum(_BEST, _WORST)[codes], np.maximum(_BEST, _WORST)[codes])
     meets = rng.integers(0, 2, size=size).astype(float)
     vectors = np.column_stack([experience, skills, grades, codes.astype(float), meets])
     return BackgroundSet(vectors=vectors, seed=seed)

@@ -75,33 +75,6 @@ class TalentCandidate:
             )
 
 
-def norm_grade(grade: float, scheme: UniversityScheme) -> float:
-    """Map worst passing grade to 0 and best grade to 1, linearly."""
-    if not scheme.contains(grade):
-        raise ValueError(f"grade {grade} outside scheme interval")
-    return (grade - scheme.worst_passing_grade) / (scheme.best_grade - scheme.worst_passing_grade)
-
-
-def talent_score(candidate: TalentCandidate, variant: str = "biased") -> float:
-    """Score a candidate with the biased or unbiased talent-search model."""
-    score = (
-        norm_grade(candidate.grade, SCHEMES[candidate.university])
-        + candidate.skills
-        + candidate.experience
-    )
-    if variant == "biased":
-        if candidate.university is University.NEG_BIAS:
-            score *= 0.7
-        if not (candidate.meets_requirements or candidate.university is University.NEPOTISM):
-            score *= 0.1
-    elif variant == "unbiased":
-        if not candidate.meets_requirements:
-            score *= 0.1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return score
-
-
 def talent_features(candidate: TalentCandidate) -> np.ndarray:
     """Encode a candidate as [experience, skills, grade, university code, requirements]."""
     return np.array(
@@ -112,21 +85,6 @@ def talent_features(candidate: TalentCandidate) -> np.ndarray:
             float(UNIVERSITY_CODES[candidate.university]),
             1.0 if candidate.meets_requirements else 0.0,
         ]
-    )
-
-
-def decode_candidate(features: np.ndarray) -> TalentCandidate:
-    """Inverse of `talent_features`; raises on unknown university codes."""
-    features = np.asarray(features, dtype=float)
-    code = int(round(features[3]))
-    if code not in _CODE_TO_UNIVERSITY:
-        raise ValueError(f"unknown university code {features[3]!r}")
-    return TalentCandidate(
-        experience=float(features[0]),
-        skills=float(features[1]),
-        grade=float(features[2]),
-        university=_CODE_TO_UNIVERSITY[code],
-        meets_requirements=features[4] >= 0.5,
     )
 
 
@@ -145,9 +103,6 @@ class TalentScorer(Scorer):
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.name = f"talent[{variant}]"
-
-    def score(self, features: np.ndarray) -> float:
-        return float(self.score_batch(np.asarray(features, dtype=float)[None, :])[0])
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -1,7 +1,9 @@
-"""Scalar reference implementations of listwise masking and the objectives.
+"""Scalar reference implementations of listwise masking, the objectives and
+the talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
-and the objective classes' `evaluate_many`). These one-list, one-permutation
+and the objective classes' `evaluate_many`), and the talent model only in
+`TalentScorer.score_batch`. These one-list, one-permutation, one-candidate
 forms are kept here as independent oracles for the tests.
 """
 
@@ -11,7 +13,16 @@ from typing import Iterable
 
 import numpy as np
 
-from rankshap import DimensionError, Document, QueryGroup, rank
+from rankshap import (
+    DimensionError,
+    Document,
+    QueryGroup,
+    TalentCandidate,
+    University,
+    UniversityScheme,
+    rank,
+)
+from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 
 def apply_mask(x: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,3 +124,46 @@ def value_function(group, scorer, objective, t: np.ndarray, b: np.ndarray) -> fl
     """Similarity of the masked group's ranking to the reference ranking."""
     perturbed = masked_matrix(group.feature_matrix(), t, b)
     return objective.evaluate(rank(scorer.score_batch(perturbed)))
+
+
+def norm_grade(grade: float, scheme: UniversityScheme) -> float:
+    """Map worst passing grade to 0 and best grade to 1, linearly."""
+    if not scheme.contains(grade):
+        raise ValueError(f"grade {grade} outside scheme interval")
+    return (grade - scheme.worst_passing_grade) / (scheme.best_grade - scheme.worst_passing_grade)
+
+
+def talent_score(candidate: TalentCandidate, variant: str = "biased") -> float:
+    """Score a candidate with the biased or unbiased talent-search model."""
+    score = (
+        norm_grade(candidate.grade, SCHEMES[candidate.university])
+        + candidate.skills
+        + candidate.experience
+    )
+    if variant == "biased":
+        if candidate.university is University.NEG_BIAS:
+            score *= 0.7
+        if not (candidate.meets_requirements or candidate.university is University.NEPOTISM):
+            score *= 0.1
+    elif variant == "unbiased":
+        if not candidate.meets_requirements:
+            score *= 0.1
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return score
+
+
+def decode_candidate(features: np.ndarray) -> TalentCandidate:
+    """Inverse of `talent_features`; raises on unknown university codes."""
+    features = np.asarray(features, dtype=float)
+    code = int(round(features[3]))
+    universities = {c: u for u, c in UNIVERSITY_CODES.items()}
+    if code not in universities:
+        raise ValueError(f"unknown university code {features[3]!r}")
+    return TalentCandidate(
+        experience=float(features[0]),
+        skills=float(features[1]),
+        grade=float(features[2]),
+        university=universities[code],
+        meets_requirements=features[4] >= 0.5,
+    )

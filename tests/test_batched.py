@@ -3,19 +3,22 @@
 `ListwiseGame.values` evaluates many coalitions per scorer call, cut into
 chunks of MASK_BUDGET_BYTES. The exact and permutation estimators fed by it
 must match, bit for bit, the same estimators fed by `game.value` and
-`game.mean_value` one coalition at a time, for every chunking.
+`game.mean_value` one coalition at a time, for every chunking; so must the
+kernel estimator fed by `game.value` alone.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InteractionScorer, make_group
 from rankshap import BackgroundSet, KendallTauObjective, LinearScorer, reference_ranking
-from rankshap import masking
-from rankshap.attribution import exact_shapley, permutation_shapley
+from rankshap import attribution, masking
+from rankshap.attribution import exact_shapley, kernel_shap, permutation_shapley
+from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
 
 
@@ -111,6 +114,49 @@ def test_exact_batched_matches_scalar(n, m, bsize, seed, interaction, budget):
     scalar = exact_shapley(game.value, n, background, mean_value_fn=game.mean_value)
     assert_same(batched, scalar)
     assert_same(exact_shapley(game.value, n, background), scalar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_samples=st.integers(2, 150), **shapes)
+def test_kernel_value_fn_matches_mean_value_fn(n_samples, n, m, bsize, seed, interaction, budget):
+    game, background = make_game(n, m, bsize, seed, interaction)
+    try:
+        expected = kernel_shap(
+            game.value, n, background, n_samples, seed, mean_value_fn=game.mean_value
+        )
+    except EstimationError:
+        expected = None
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        if expected is None:
+            with pytest.raises(EstimationError):
+                kernel_shap(game.value, n, background, n_samples, seed)
+        else:
+            assert_same(kernel_shap(game.value, n, background, n_samples, seed), expected)
+
+
+def test_kernel_value_fn_is_tiled_in_budget_chunks():
+    # Without mean_value_fn the kernel tiles its coalitions over the
+    # background; each tiled batch stays within the mask budget.
+    game, background = make_game(6, 3, 4, 2, interaction=False)
+    lifted = attribution._batched
+    rows_per_call = []
+
+    def recording(value_fn, values_fn):
+        values = lifted(value_fn, values_fn)
+
+        def record(visible, rows):
+            rows_per_call.append(len(rows))
+            return values(visible, rows)
+
+        return record
+
+    budget = 3 * len(background.vectors) * game.n * 8  # three coalitions
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
+        attribution, "_batched", recording
+    ):
+        attr = kernel_shap(game.value, game.n, background, 40, 0)
+    assert max(rows_per_call) == 3 * len(background.vectors)
+    assert sum(rows_per_call) == attr.meta["coalitions_evaluated"] * len(background.vectors)
 
 
 def test_mean_value_is_one_scorer_call_over_budget():

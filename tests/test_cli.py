@@ -172,6 +172,47 @@ def test_inline_json_scorer(workspace):
     assert code == 0
 
 
+@pytest.mark.parametrize("missing", ["--data", "--scorer"])
+def test_evaluate_without_inputs_exit_2(workspace, capsys, missing):
+    tmp, data, scorer = workspace
+    inputs = {"--data": str(data), "--scorer": str(scorer)}
+    del inputs[missing]
+    args = [arg for pair in inputs.items() for arg in pair]
+    code = main(["evaluate", *args, "--out", str(tmp / "r.csv")])
+    assert code == 2
+    assert f"evaluate needs {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [
+    None, [float("nan"), 1, 1, 1, 1], [[1, 2, 3, 4, 5]], [], "abc", {"a": 1}, [[1], [2, 3]],
+])
+def test_bad_linear_scorer_config_exit_2(workspace, capsys, weights):
+    tmp, data, _ = workspace
+    cfg = {"kind": "linear"} if weights is None else {"kind": "linear", "weights": weights}
+    code = main([
+        "explain", "--data", str(data), "--scorer", json.dumps(cfg), "--out", str(tmp / "o"),
+    ])
+    assert code == 2
+    assert "linear scorer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", ["explain", "ground-truth"])
+def test_bad_thread_count_exit_2(workspace, capsys, monkeypatch, command, threads):
+    tmp, data, scorer = workspace
+    monkeypatch.setenv("RANKSHAP_THREADS", threads)
+    out = tmp / "o"
+    code = main([
+        command, "--data", str(data), "--scorer", str(scorer), "--nsamples", "8",
+        "--background", "2", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"RANKSHAP_THREADS must be a positive integer, got {threads!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_evaluate_gt_file_self_evaluation(tmp_path):
     from rankshap import Attribution
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_group, make_linear_instance
 from oracles import doc_rank_distance, kendall_tau, subset_tau, topk_tau, value_function
 from rankshap import (
+    DimensionError,
     DocRankObjective,
     KendallTauObjective,
     LinearScorer,
@@ -98,6 +99,17 @@ def test_all_objectives_max_at_reference(rng):
         DocRankObjective(ref, 3),
     ):
         assert obj.evaluate(ref) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", ["kendall", "topk:1", "group:0", "docrank:0"])
+def test_objective_checks_list_and_permutation_length(spec):
+    with pytest.raises(ValueError, match="at least 2 documents"):
+        make_objective(spec, [0])
+    objective = make_objective(spec, [2, 0, 1])
+    with pytest.raises(DimensionError, match="permutation length 4 != 3"):
+        objective.evaluate_many(np.array([[0, 1, 2, 3]]))
+    with pytest.raises(DimensionError):
+        objective.evaluate([0, 1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rankshap import LinearScorer, TalentScorer, load_scorer, rank
+from rankshap import LinearScorer, Scorer, TalentScorer, load_scorer, rank
 
 
 def test_rank_basic():
@@ -39,7 +39,19 @@ def test_rank_scale_invariant(rng):
 def test_linear_scorer_batch_matches_scalar(rng):
     scorer = LinearScorer(rng.normal(size=4))
     X = rng.normal(size=(6, 4))
-    np.testing.assert_allclose(scorer.score_batch(X), [scorer.score(row) for row in X])
+    expected = [np.dot(scorer.weights, row) for row in X]
+    np.testing.assert_allclose(scorer.score_batch(X), expected)
+    np.testing.assert_allclose([scorer.score(row) for row in X], expected)
+
+
+def test_score_derives_from_score_batch():
+    class SquareSum(Scorer):
+        def score_batch(self, X):
+            return (np.asarray(X) ** 2).sum(axis=1)
+
+    scorer = SquareSum()
+    assert scorer.score([1.0, 2.0]) == 5.0
+    assert isinstance(scorer.score(np.array([3.0])), float)
 
 
 def test_load_scorer_linear_from_dict_and_file(tmp_path):

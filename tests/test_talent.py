@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import decode_candidate, norm_grade, talent_score
 from rankshap import (
     CANDIDATES,
     TalentCandidate,
     TalentScorer,
     University,
-    decode_candidate,
-    norm_grade,
     talent_features,
-    talent_score,
 )
 from rankshap.talent import SCHEMES
 
