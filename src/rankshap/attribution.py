@@ -357,11 +357,15 @@ def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
 def rankingshap_explain(
     group: QueryGroup,
     scorer: Scorer,
-    objective: ListwiseObjective,
+    objective: ListwiseObjective | None,
     background: BackgroundSet | np.ndarray,
     cfg: EstimatorConfig,
 ) -> Attribution:
-    """Listwise Shapley attribution of the query's ranking objective."""
+    """Listwise Shapley attribution of the query's ranking objective.
+
+    A single document gets the all-zero attribution with base 1.0, and its
+    `objective` may be None.
+    """
     B = _background_array(background)
     if len(group) == 1:
         # A single document makes every objective constant: all values are 0.

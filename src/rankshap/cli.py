@@ -60,6 +60,13 @@ def _load_inputs(args):
     return docs, groups, scorer
 
 
+def _objective(spec: str, group, scorer):
+    """The query's objective, or None for a single document (constant attribution)."""
+    if len(group) == 1:
+        return None
+    return make_objective(spec, reference_ranking(group, scorer))
+
+
 def _run_config(args, extra=None) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     if extra:
@@ -75,7 +82,7 @@ def cmd_explain(args) -> int:
     cfg = EstimatorConfig(kind=args.estimator, n_samples=n_samples, seed=args.seed)
 
     def explain_one(group):
-        objective = make_objective(args.objective, reference_ranking(group, scorer))
+        objective = _objective(args.objective, group, scorer)
         return rankingshap_explain(group, scorer, objective, background, cfg)
 
     attrs = _map_queries(explain_one, groups)
@@ -99,7 +106,7 @@ def cmd_ground_truth(args) -> int:
     background = sample_background(docs, args.background, args.seed)
 
     def gt_one(group):
-        objective = make_objective(args.objective, reference_ranking(group, scorer))
+        objective = _objective(args.objective, group, scorer)
         return group, objective, estimate_ground_truth(
             group, scorer, objective, background, args.nsamples, args.runs, args.seed
         )

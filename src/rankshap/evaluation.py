@@ -44,7 +44,7 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
 def estimate_ground_truth(
     group: QueryGroup,
     scorer: Scorer,
-    objective: ListwiseObjective,
+    objective: ListwiseObjective | None,
     background: BackgroundSet | np.ndarray,
     n_samples: int = 2**16,
     runs: int = 3,
@@ -53,10 +53,16 @@ def estimate_ground_truth(
     """Permutation-sampling estimate repeated over independent runs.
 
     Reports the per-run attributions, their mean, and the per-feature sample
-    standard deviation (ddof=1) across runs.
+    standard deviation (ddof=1) across runs. A single document's attribution
+    is all zero with base 1.0, from no runs, and `objective` may be None.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs for a std estimate, got {runs}")
+    if len(group) == 1:
+        meta = estimator_meta("ground-truth", 0, len(_background_array(background)), seed,
+                              runs=0, objective="constant:m=1")
+        zero = Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
+        return GroundTruth(zero, [], np.zeros(group.n), n_samples=0, runs=0)
     game = ListwiseGame(group, scorer, objective, _background_array(background))
     per_run = [
         permutation_shapley(
@@ -92,7 +98,7 @@ class StabilityRow:
 def stability_curve(
     group: QueryGroup,
     scorer: Scorer,
-    objective: ListwiseObjective,
+    objective: ListwiseObjective | None,
     background_pool: BackgroundSet | np.ndarray,
     sample_sizes: list[int],
     runs: int = 3,
@@ -104,11 +110,14 @@ def stability_curve(
 
     same_background reuses one background set for all runs; independent_background
     draws a fresh background of `background_size` vectors from the pool per run.
+    A single document's std is 0 at every size, and `objective` may be None.
     """
     if mode not in ("same_background", "independent_background"):
         raise ValueError(f"unknown mode {mode!r}")
     if not sample_sizes:
         raise ValueError("sample_sizes must be non-empty")
+    if len(group) == 1:
+        return [StabilityRow(n, 0.0, 0.0) for n in sample_sizes]
     pool = _background_array(background_pool)
     size = background_size or len(pool)
     rows = []

@@ -55,21 +55,40 @@ class ListwiseObjective:
 
 
 class _PairTauObjective(ListwiseObjective):
-    """Shared machinery for tau over a fixed subset of document pairs."""
+    """Tau over a fixed set of document pairs: (P - 2 * discordant) / P.
 
-    def _init_pairs(self, keep: np.ndarray | None):
-        iu, ju = np.triu_indices(self.m, k=1)
-        if keep is not None:
-            iu, ju = iu[keep], ju[keep]
-        self._iu, self._ju = iu, ju
-        r = _ranks_of(self.reference)
-        self._s_ref = np.sign(r[iu] - r[ju])
+    `_pairs` is an (m, m) boolean mask over reference positions that keeps
+    the pairs (t, u), t < u, that count; P is its count. A list is discordant
+    on (t, u) when it ranks the reference's t-th document below its u-th.
+    """
+
+    def _init_pairs(self, members: np.ndarray | None):
+        """All pairs, or those touching a member (a boolean per reference position)."""
+        m = self.m
+        self._pairs = np.triu(np.ones((m, m), dtype=bool), k=1)
+        if members is not None:
+            self._pairs &= members[:, None] | members[None, :]
+        self._n_pairs = int(np.count_nonzero(self._pairs))
+        self._ref_pos = _ranks_of(self.reference)
+        self._rank_values = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        # A list's count is at most P, so a narrow signed sum is exact.
+        self._count_dtype = np.int32 if self._n_pairs < 2**31 else np.int64
 
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
         perms = self._check(perms)
-        ranks = np.argsort(perms, axis=1)
-        s = np.sign(ranks[:, self._iu] - ranks[:, self._ju])
-        return (s @ self._s_ref) / len(self._s_ref)
+        k, m = perms.shape
+        # a[i, t]: the rank perms[i] gives the reference's t-th document.
+        a = np.empty((k, m), dtype=self._rank_values.dtype)
+        a[np.arange(k)[:, None], self._ref_pos[perms]] = self._rank_values
+        discordant = np.empty(k, dtype=np.int64)
+        # Chunks of (rows, m, m) comparisons within MASK_BUDGET_BYTES, or one list.
+        step = chunk_size(m * m)
+        for lo in range(0, k, step):
+            rows = a[lo:lo + step]
+            worse = rows[:, :, None] > rows[:, None, :]
+            worse &= self._pairs
+            discordant[lo:lo + step] = worse.reshape(len(rows), -1).sum(1, self._count_dtype)
+        return (self._n_pairs - 2 * discordant) / self._n_pairs
 
 
 class KendallTauObjective(_PairTauObjective):
@@ -100,8 +119,7 @@ class TopKTauObjective(_PairTauObjective):
             self._label = "group:" + ",".join(str(d) for d in sorted(set(docs.tolist())))
         members = np.zeros(self.m, dtype=bool)
         members[np.asarray(docs, dtype=int)] = True
-        iu, ju = np.triu_indices(self.m, k=1)
-        self._init_pairs(members[iu] | members[ju])
+        self._init_pairs(members[self.reference])
 
     def describe(self) -> str:
         return self._label
@@ -119,8 +137,8 @@ class DocRankObjective(ListwiseObjective):
 
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
         perms = self._check(perms)
-        ranks = np.argsort(perms, axis=1)[:, self.target_doc]
-        return 1.0 - np.abs(ranks - self._ref_rank) / (self.m - 1)
+        rank = np.argmax(perms == self.target_doc, axis=1)
+        return 1.0 - np.abs(rank - self._ref_rank) / (self.m - 1)
 
     def describe(self) -> str:
         return f"docrank:{self.target_doc}"

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankshap
+from rankshap import Attribution
 from rankshap.cli import main
 
 
@@ -287,3 +293,66 @@ def test_scorer_width_mismatch_exit_2(workspace, capsys, command):
         assert f"scorer {scorer} reads {width} features" in err
         assert f"{data_file} has {n}" in err
         assert not out.exists()
+
+
+def test_single_document_query_gets_zero_attribution(tmp_path):
+    # qid:b holds one document: every objective is constant there.
+    data = tmp_path / "data.txt"
+    data.write_text("1 qid:a 1:0.5 2:0.1\n0 qid:a 1:0.2 2:0.9\n2 qid:b 1:0.3 2:0.4\n")
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps({"kind": "linear", "weights": [1.0, -0.5]}))
+    common = ["--data", str(data), "--scorer", str(scorer), "--background", "3"]
+    attrs, gt = tmp_path / "attrs", tmp_path / "gt"
+    assert main(["explain", *common, "--estimator", "exact", "--out", str(attrs)]) == 0
+    assert main(["ground-truth", *common, "--nsamples", "16", "--stability", "8,16",
+                 "--out", str(gt)]) == 0
+    for path in (attrs / "query_b.csv", gt / "gt_b.csv"):
+        attr = Attribution.load(path)
+        assert attr.values.tolist() == [0.0, 0.0]
+        assert attr.base_value == 1.0
+        assert attr.meta["objective"] == "constant:m=1"
+    assert Attribution.load(attrs / "query_a.csv").meta["objective"] == "kendall"
+    assert not list(gt.glob("gt_b_run*.csv"))
+    assert len(list(gt.glob("gt_a_run*.csv"))) == 3
+    summary = json.loads((gt / "gt_b_stability.json").read_text())
+    assert summary["runs"] == 0
+    assert summary["std_per_feature"] == [0.0, 0.0]
+    assert summary["mean_std"] == 0.0
+    assert [row["mean_std_all"] for row in summary["stability"]] == [0.0, 0.0]
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # Each run gets its own working directory and the same relative --out, so
+    # the sidecars, which record the config, must match byte for byte too.
+    rng = np.random.default_rng(3)
+    n = 46
+    lines = [
+        f"{rng.integers(0, 3)} qid:q{q} "
+        + " ".join(f"{k + 1}:{rng.random():.6f}" for k in range(n))
+        for q in range(2) for _ in range(6)
+    ]
+    data = tmp_path / "data.txt"
+    data.write_text("\n".join(lines) + "\n")
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps({"kind": "linear", "weights": rng.normal(size=n).tolist()}))
+    common = ["--data", str(data), "--scorer", str(scorer), "--background", "10"]
+    commands = [
+        ["explain", *common, "--out", "attrs"],
+        ["ground-truth", *common, "--nsamples", "32", "--runs", "2", "--out", "gt"],
+    ]
+    src = str(Path(rankshap.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("RANKSHAP_THREADS", None)
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "rankshap.cli", *argv], cwd=cwd, env=env,
+                           check=True, capture_output=True)
+        outputs[threads] = {
+            str(f.relative_to(cwd)): f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()
+        }
+    assert len(outputs["1"]) == 2 * 2 + 2 * (2 + 2 * 2 + 1)
+    assert outputs["1"] == outputs["2"]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rankshap import (
     reference_ranking,
 )
 from rankshap.objectives import ListwiseGame
+from rankshap.rankers import rank_many
 
 
 def test_kendall_identity_and_reversal():
@@ -131,6 +133,63 @@ def test_evaluate_many_matches_scalar(m, data):
     ]
     for obj, oracle in cases:
         np.testing.assert_array_equal(obj.evaluate_many(perms), [oracle(p) for p in perms])
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.one_of(st.integers(2, 300), st.sampled_from([255, 256, 257])),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_objectives_match_oracles_on_tied_scores(m, levels, seed, data):
+    # Rankings as the game makes them: rank_many of score matrices with ties,
+    # at widths across the small-int rank dtype boundary (256 and 257).
+    rng = np.random.default_rng(seed)
+    ref = rng.permutation(m)
+    scores = rng.integers(0, levels, size=(data.draw(st.integers(1, 6)), m)).astype(float)
+    perms = np.vstack([rank_many(scores), ref, ref[::-1]])
+    k = data.draw(st.integers(1, m))
+    docs = sorted(set(rng.choice(m, size=data.draw(st.integers(1, m))).tolist()))
+    j = data.draw(st.integers(0, m - 1))
+    cases = [
+        ("kendall", lambda p: kendall_tau(ref, p)),
+        (f"topk:{k}", lambda p: topk_tau(ref, p, k)),
+        ("group:" + ",".join(map(str, docs)), lambda p: subset_tau(ref, p, docs)),
+        (f"docrank:{j}", lambda p: doc_rank_distance(ref, p, j)),
+    ]
+    for spec, oracle in cases:
+        values = make_objective(spec, ref).evaluate_many(perms)
+        assert_bitwise_equal(values, [oracle(p) for p in perms])
+        if not spec.startswith("docrank"):
+            # The reversed reference is discordant on every pair.
+            assert_bitwise_equal(values[-2:], [1.0, -1.0])
+    assert_bitwise_equal(
+        make_objective(f"topk:{m}", ref).evaluate_many(perms),
+        make_objective("kendall", ref).evaluate_many(perms),
+    )
+
+
+@pytest.mark.parametrize("spec", ["kendall", "topk:10", "group:0,500"])
+def test_pair_tau_memory_stays_within_a_few_mib(spec):
+    # The pairwise count works in chunks of the mask budget (one 1 MB list at
+    # m = 1000), where a (k, P) pair matrix would take 80 MB per temporary.
+    rng = np.random.default_rng(0)
+    m = 1000
+    objective = make_objective(spec, rng.permutation(m))
+    perms = np.array([rng.permutation(m) for _ in range(20)])
+    tracemalloc.start()
+    try:
+        objective.evaluate_many(perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=50, deadline=None)
