@@ -10,6 +10,7 @@ rows)`, a game's `values`, and evaluate their coalitions in chunks through it.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -271,6 +272,50 @@ def _solve_constrained_wls(Z: np.ndarray, y: np.ndarray, w: np.ndarray, delta: f
     return phi
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_design(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Kernel SHAP coalitions for n >= 2: read-only `(c, n)` boolean rows, their
+    weights, and the coalitions evaluated including the empty and full ones.
+
+    The design depends only on its arguments, so the latest one is kept for
+    the pointwise top documents and queries that share a config. Full
+    enumeration lists masks in ascending order; a repeated draw adds weight
+    to the row of its first draw.
+    """
+    if n_samples >= (1 << n):
+        masks = np.arange(1, (1 << n) - 1, dtype=np.uint64)
+        rows = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)) != 0
+        size_weight = np.array([0.0] + [kernel_weight(n, s) for s in range(1, n)])
+        weights = size_weight[rows.sum(axis=1)]
+        evaluations = 1 << n
+    else:
+        rng = np.random.default_rng(seed)
+        sizes = np.arange(1, n)
+        p = (n - 1) / (sizes * (n - sizes))
+        p /= p.sum()
+        budget = n_samples - 2
+        # Coalitions are keyed by their row's bytes, in first-seen order.
+        counts: dict[bytes, float] = {}
+        drawn = 0
+        while drawn < budget:
+            s = int(rng.choice(sizes, p=p))
+            row = np.zeros(n, dtype=bool)
+            row[rng.choice(n, size=s, replace=False)] = True
+            key = row.tobytes()
+            counts[key] = counts.get(key, 0.0) + 1.0
+            drawn += 1
+            if drawn < budget:
+                comp = (~row).tobytes()
+                counts[comp] = counts.get(comp, 0.0) + 1.0
+                drawn += 1
+        rows = np.frombuffer(b"".join(counts), dtype=bool).reshape(len(counts), n)
+        weights = np.array(list(counts.values()))
+        evaluations = 2 + len(counts)
+    rows.flags.writeable = False
+    weights.flags.writeable = False
+    return rows, weights, evaluations
+
+
 def kernel_shap(
     value_fn: ValueFn,
     n: int,
@@ -302,39 +347,11 @@ def kernel_shap(
             values=phi, base_value=base, meta=estimator_meta("kernel", 2, len(B), seed)
         )
 
-    counts: dict[int, float] = {}
-    if n_samples >= (1 << n):
-        # Full enumeration with exact kernel weights.
-        for mask in range(1, (1 << n) - 1):
-            counts[mask] = kernel_weight(n, int(mask).bit_count())
-        evaluations = 1 << n
-    else:
-        rng = np.random.default_rng(seed)
-        sizes = np.arange(1, n)
-        p = (n - 1) / (sizes * (n - sizes))
-        p /= p.sum()
-        budget = n_samples - 2
-        drawn = 0
-        full_mask = (1 << n) - 1
-        while drawn < budget:
-            s = int(rng.choice(sizes, p=p))
-            members = rng.choice(n, size=s, replace=False)
-            mask = 0
-            for i in members:
-                mask |= 1 << int(i)
-            counts[mask] = counts.get(mask, 0.0) + 1.0
-            drawn += 1
-            if drawn < budget:
-                comp = full_mask ^ mask
-                counts[comp] = counts.get(comp, 0.0) + 1.0
-                drawn += 1
-        evaluations = 2 + len(counts)
-
-    # Bit i of a mask is feature i; masks are Python ints, as n may exceed 64.
-    bits = [[mask >> i & 1 for i in range(n)] for mask in counts]
-    Z = np.array(bits, dtype=float).reshape(len(counts), n)
-    y = means(Z != 0) - base
-    w = np.fromiter(counts.values(), dtype=float, count=len(counts))
+    # seed=None asks numpy for fresh entropy, so that draw is not kept.
+    draw = _kernel_design.__wrapped__ if seed is None else _kernel_design
+    rows, w, evaluations = draw(n, n_samples, seed)
+    Z = rows.astype(float)
+    y = means(rows) - base
     phi = _solve_constrained_wls(Z, y, w, delta)
     meta = estimator_meta(
         "kernel", n_samples, len(B), seed, coalitions_evaluated=evaluations
@@ -369,7 +386,8 @@ def rankingshap_explain(
     B = _background_array(background)
     if len(group) == 1:
         # A single document makes every objective constant: all values are 0.
-        meta = estimator_meta(cfg.kind, 0, len(B), cfg.seed, objective="constant:m=1")
+        meta = estimator_meta(cfg.kind, 0, len(B), cfg.seed, objective="constant:m=1",
+                              query_id=group.query_id)
         return Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
     game = ListwiseGame(group, scorer, objective, B)
     attr = _run_estimator(game, background, cfg)

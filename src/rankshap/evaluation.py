@@ -112,6 +112,8 @@ def stability_curve(
     draws a fresh background of `background_size` vectors from the pool per run.
     A single document's std is 0 at every size, and `objective` may be None.
     """
+    if runs < 2:
+        raise ValueError(f"need at least 2 runs for a std estimate, got {runs}")
     if mode not in ("same_background", "independent_background"):
         raise ValueError(f"unknown mode {mode!r}")
     if not sample_sizes:
@@ -232,9 +234,14 @@ def expand_method_names(names) -> list[str]:
     return out
 
 
-def _run_method(name, group, scorer, objective, background, cfg: EstimatorConfig, seed):
+def _run_method(name, group, scorer, objective, background, cfg: EstimatorConfig, seed,
+                greedy_results: dict | None = None):
     """Attribution values of one method (`rankingshap`, `pointwise`, `random` or
-    `greedy<k>_iter|_marg`) on one query, with `cfg` reseeded to `seed`."""
+    `greedy<k>_iter|_marg`) on one query, with `cfg` reseeded to `seed`.
+
+    A given `greedy_results` dict keeps each k's greedy result for this query,
+    so the iter and marg readings share one run.
+    """
     qcfg = replace(cfg, seed=seed)
     if name == "rankingshap":
         return rankingshap_explain(group, scorer, objective, background, qcfg).values
@@ -245,7 +252,10 @@ def _run_method(name, group, scorer, objective, background, cfg: EstimatorConfig
     if name.startswith("greedy"):
         spec, _, variant = name.partition("_")
         k = int(spec[len("greedy"):])
-        result = greedy_attribution(group, scorer, objective, background, k)
+        results = {} if greedy_results is None else greedy_results
+        if k not in results:
+            results[k] = greedy_attribution(group, scorer, objective, background, k)
+        result = results[k]
         return result.attributions_marg if variant == "marg" else result.attributions_iter
     raise ValueError(f"unknown method {name!r}")
 
@@ -296,9 +306,10 @@ def run_benchmark(
                 group, scorer, objective, background, gt_n_samples, gt_runs, qseed
             ).mean_attribution.values
         counted += 1
+        greedy_results = {}
         for name in methods:
             pred = gt if name == "gt" else _run_method(
-                name, group, scorer, objective, background, cfg, qseed
+                name, group, scorer, objective, background, cfg, qseed, greedy_results
             )
             record = {"query_id": group.query_id, "method": name}
             record["order_all"] = order_metric(gt, pred)

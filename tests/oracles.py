@@ -1,10 +1,11 @@
-"""Scalar reference implementations of listwise masking, the objectives and
-the talent-search model.
+"""Scalar reference implementations of listwise masking, the objectives, the
+kernel SHAP coalition draw and the talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
-and the objective classes' `evaluate_many`), and the talent model only in
-`TalentScorer.score_batch`. These one-list, one-permutation, one-candidate
-forms are kept here as independent oracles for the tests.
+and the objective classes' `evaluate_many`), the kernel design as boolean rows
+(`attribution._kernel_design`), and the talent model only in
+`TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
+one-candidate forms are kept here as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from rankshap import (
     UniversityScheme,
     rank,
 )
+from rankshap.attribution import kernel_weight
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 
@@ -124,6 +126,37 @@ def value_function(group, scorer, objective, t: np.ndarray, b: np.ndarray) -> fl
     """Similarity of the masked group's ranking to the reference ranking."""
     perturbed = masked_matrix(group.feature_matrix(), t, b)
     return objective.evaluate(rank(scorer.score_batch(perturbed)))
+
+
+def kernel_design(n: int, n_samples: int, seed: int) -> tuple[list[int], list[float], int]:
+    """Kernel SHAP coalitions as Python-int masks (bit i is feature i), n >= 2:
+    the masks in first-seen order, their weights, and the coalitions evaluated
+    including the empty and full ones."""
+    counts: dict[int, float] = {}
+    if n_samples >= (1 << n):
+        for mask in range(1, (1 << n) - 1):
+            counts[mask] = kernel_weight(n, mask.bit_count())
+        return list(counts), list(counts.values()), 1 << n
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, n)
+    p = (n - 1) / (sizes * (n - sizes))
+    p /= p.sum()
+    budget = n_samples - 2
+    drawn = 0
+    full_mask = (1 << n) - 1
+    while drawn < budget:
+        s = int(rng.choice(sizes, p=p))
+        members = rng.choice(n, size=s, replace=False)
+        mask = 0
+        for i in members:
+            mask |= 1 << int(i)
+        counts[mask] = counts.get(mask, 0.0) + 1.0
+        drawn += 1
+        if drawn < budget:
+            comp = full_mask ^ mask
+            counts[comp] = counts.get(comp, 0.0) + 1.0
+            drawn += 1
+    return list(counts), list(counts.values()), 2 + len(counts)
 
 
 def norm_grade(grade: float, scheme: UniversityScheme) -> float:

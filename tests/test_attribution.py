@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_shapley, make_group, make_linear_instance
+from oracles import kernel_design
 from rankshap import (
     Attribution,
     BackgroundSet,
@@ -21,6 +24,7 @@ from rankshap import (
     reference_ranking,
     shapley_weight,
 )
+from rankshap.attribution import _kernel_design
 from rankshap.objectives import ListwiseGame
 from rankshap.rankers import Scorer
 
@@ -172,7 +176,9 @@ class TestPermutationShapley:
         exact = exact_shapley(game.value, 8, background, mean_value_fn=game.mean_value)
         runs = np.stack(
             [
-                permutation_shapley(game.value, 8, background, n_samples=4096, seed=s).values
+                permutation_shapley(
+                    game.value, 8, background, n_samples=4096, seed=s, values_fn=game.values
+                ).values
                 for s in range(20)
             ]
         )
@@ -225,6 +231,67 @@ class TestKernelShap:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             kernel_shap(lambda S, b: 0.0, 4, bg(4), n_samples=1, seed=0)
+
+
+def mask_rows(masks, n):
+    """(c, n) boolean rows of Python-int masks; bit i of a mask is feature i."""
+    return np.array(
+        [[mask >> i & 1 for i in range(n)] for mask in masks], dtype=bool
+    ).reshape(len(masks), n)
+
+
+class TestKernelDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 70), n_samples=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    @example(n=70, n_samples=400, seed=0)
+    @example(n=2, n_samples=3, seed=1)
+    @example(n=2, n_samples=4, seed=1)
+    @example(n=3, n_samples=8, seed=2)
+    @example(n=10, n_samples=1 << 10, seed=3)
+    def test_matches_int_mask_oracle(self, n, n_samples, seed):
+        rows, weights, evaluations = _kernel_design(n, n_samples, seed)
+        masks, counts, expected = kernel_design(n, n_samples, seed)
+        assert rows.dtype == bool
+        assert rows.tobytes() == mask_rows(masks, n).tobytes()
+        assert weights.tobytes() == np.array(counts, dtype=float).tobytes()
+        assert evaluations == expected
+
+    def test_arrays_are_read_only(self):
+        rows, weights, _ = _kernel_design(6, 30, 4)
+        for a in (rows, weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_kernel_shap_unchanged_by_calls_in_between(self):
+        group, scorer, objective, background = make_linear_instance(7, 6, seed=21)
+        game = ListwiseGame(group, scorer, objective, background)
+
+        def run():
+            return kernel_shap(game.value, 7, background, 60, 5, mean_value_fn=game.mean_value)
+
+        first = run()
+        for n, n_samples, seed in ((7, 60, 6), (9, 60, 5), (4, 16, 5), (7, 80, 5)):
+            kernel_shap(additive_game(np.arange(n)), n, bg(n), n_samples, seed)
+            again = run()
+            assert again.values.tobytes() == first.values.tobytes()
+            assert again.base_value == first.base_value
+            assert again.meta == first.meta
+        _kernel_design.cache_clear()
+        assert run().values.tobytes() == first.values.tobytes()
+
+    def test_unseeded_draw_is_not_kept(self):
+        _kernel_design.cache_clear()
+        kernel_shap(additive_game(np.arange(6)), 6, bg(6), n_samples=62, seed=None)
+        assert _kernel_design.cache_info().currsize == 0
+
+    def test_pointwise_documents_share_one_draw(self):
+        group, scorer, _, background = make_linear_instance(6, 8, seed=22)
+        cfg = EstimatorConfig(kind="kernel", n_samples=40, seed=9)
+        _kernel_design.cache_clear()
+        pointwise_shap_explain(group, scorer, background, cfg, top_docs=5)
+        info = _kernel_design.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
 
 class TestRankingShapExplain:

@@ -312,6 +312,8 @@ def test_single_document_query_gets_zero_attribution(tmp_path):
         assert attr.base_value == 1.0
         assert attr.meta["objective"] == "constant:m=1"
     assert Attribution.load(attrs / "query_a.csv").meta["objective"] == "kendall"
+    for qid in ("a", "b"):
+        assert json.loads((attrs / f"query_{qid}.json").read_text())["query_id"] == qid
     assert not list(gt.glob("gt_b_run*.csv"))
     assert len(list(gt.glob("gt_a_run*.csv"))) == 3
     summary = json.loads((gt / "gt_b_stability.json").read_text())

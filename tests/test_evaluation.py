@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from rankshap import (
     stability_curve,
     valdis_metric,
 )
+from rankshap import evaluation
 from rankshap.objectives import ListwiseGame
 
 
@@ -144,6 +147,11 @@ class TestStabilityCurve:
         with pytest.raises(ValueError):
             stability_curve(group, scorer, objective, pool, [16], mode="nope")
 
+    def test_rejects_single_run(self):
+        group, scorer, objective, pool = self._instance()
+        with pytest.raises(ValueError, match="at least 2 runs"):
+            stability_curve(group, scorer, objective, pool, [16], runs=1)
+
 
 class TestRunBenchmark:
     @staticmethod
@@ -183,10 +191,14 @@ class TestRunBenchmark:
     def test_greedy_expansion_and_csv(self, tmp_path):
         groups, scorer = self._dataset(queries=2)
         cfg = EstimatorConfig(kind="exact")
-        report = run_benchmark(
-            groups, scorer, "kendall", ["greedy2"], cfg, background_size=3, ks=(3,)
-        )
+        with mock.patch.object(
+            evaluation, "greedy_attribution", wraps=evaluation.greedy_attribution
+        ) as greedy:
+            report = run_benchmark(
+                groups, scorer, "kendall", ["greedy2"], cfg, background_size=3, ks=(3,)
+            )
         assert set(report.rows) == {"greedy2_iter", "greedy2_marg"}
+        assert greedy.call_count == 2  # one greedy run per query serves both readings
         out = tmp_path / "report.csv"
         report.to_csv(out)
         header = out.read_text().splitlines()[0]
