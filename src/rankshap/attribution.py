@@ -2,9 +2,9 @@
 
 Estimators work on a value function v(S, b) where S is the set of visible
 feature indices and b one background vector; expectations over the background
-set are always full means, so the exact estimator is deterministic. The exact
-and permutation estimators also take the batched form `values_fn(visible,
-rows)`, a game's `values`, and evaluate their coalitions in chunks through it.
+set are always full means, so the exact estimator is deterministic. All three
+estimators also take the batched form `values_fn(visible, rows)`, a game's
+`values`, and evaluate their coalitions in chunks through it.
 """
 
 from __future__ import annotations
@@ -324,6 +324,7 @@ def kernel_shap(
     seed: int,
     *,
     mean_value_fn=None,
+    values_fn: ValuesFn | None = None,
 ) -> Attribution:
     """Shapley values by kernel-weighted least squares over sampled coalitions.
 
@@ -337,7 +338,7 @@ def kernel_shap(
     B = _background_array(background)
 
     def means(visible):
-        return _coalition_means(visible, B, value_fn, mean_value_fn)
+        return _coalition_means(visible, B, value_fn, mean_value_fn, values_fn)
 
     base, v_full = means(np.array([[False] * n, [True] * n])).tolist()
     delta = v_full - base
@@ -366,8 +367,11 @@ def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
         return permutation_shapley(
             game.value, game.n, background, cfg.n_samples, cfg.seed, values_fn=game.values
         )
+    # The listwise kernel stays on mean_value: perfbench counts its game calls only there.
+    values_fn = None if isinstance(game, ListwiseGame) else game.values
     return kernel_shap(
-        game.value, game.n, background, cfg.n_samples, cfg.seed, mean_value_fn=game.mean_value
+        game.value, game.n, background, cfg.n_samples, cfg.seed,
+        mean_value_fn=game.mean_value, values_fn=values_fn,
     )
 
 
@@ -435,8 +439,11 @@ def pointwise_shap_explain(
         attr = _run_estimator(game, background, cfg)
         values += attr.values
         base += attr.base_value
+    # Every document runs the same design, so the last one's counts hold for all.
     meta = estimator_meta(
-        f"pointwise-{cfg.kind}", cfg.n_samples, len(B), cfg.seed,
+        f"pointwise-{cfg.kind}", attr.meta["n_samples"], len(B), cfg.seed,
         top_docs=take, query_id=group.query_id,
     )
+    if "coalitions_evaluated" in attr.meta:
+        meta["coalitions_evaluated"] = attr.meta["coalitions_evaluated"]
     return Attribution(values=values / take, base_value=base / take, meta=meta)

@@ -67,6 +67,14 @@ def _objective(spec: str, group, scorer):
     return make_objective(spec, reference_ranking(group, scorer))
 
 
+def _sample_sizes(spec: str) -> list[int]:
+    """The `--stability` sample sizes: comma-separated positive integers."""
+    sizes = [s.strip() for s in spec.split(",")]
+    if not all(s.isdecimal() and int(s) > 0 for s in sizes):
+        raise ValueError(f"--stability needs comma-separated positive integers, got {spec!r}")
+    return [int(s) for s in sizes]
+
+
 def _run_config(args, extra=None) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     if extra:
@@ -98,6 +106,7 @@ def cmd_explain(args) -> int:
 def cmd_ground_truth(args) -> int:
     if args.runs < 2:
         raise ValueError("ground truth needs --runs >= 2 (std undefined otherwise)")
+    sizes = _sample_sizes(args.stability) if args.stability else None
     docs, groups, scorer = _load_inputs(args)
     if args.query is not None:
         groups = [g for g in groups if g.query_id == args.query]
@@ -128,8 +137,7 @@ def cmd_ground_truth(args) -> int:
             "runs": gt.runs,
             "seed": args.seed,
         }
-        if args.stability:
-            sizes = [int(s) for s in args.stability.split(",")]
+        if sizes:
             rows = stability_curve(
                 group, scorer, objective, background, sizes,
                 runs=args.runs, seed=args.seed,
@@ -168,6 +176,8 @@ def cmd_evaluate(args) -> int:
         if getattr(args, flag) is None:
             raise ValueError(f"evaluate needs --{flag} unless --gt-file is given")
     _, groups, scorer = _load_inputs(args)
+    if all(len(g) == 1 for g in groups):
+        raise ValueError(f"no query in {args.data} has 2 or more documents")
     cfg = EstimatorConfig(kind=args.estimator, n_samples=args.nsamples, seed=args.seed)
     methods = expand_method_names(args.methods.split(","))
     report = run_benchmark(

@@ -372,6 +372,24 @@ class TestPointwiseShap:
         np.testing.assert_allclose(attr.values, expected, atol=1e-10)
 
 
+    @pytest.mark.parametrize("kind, n_samples, recorded", [
+        ("exact", 2048, 32),  # all 2^5 coalitions, whatever the budget
+        ("kernel", 2048, 2048),  # full enumeration
+        ("kernel", 20, 20),
+        ("permutation", 16, 16),
+    ])
+    def test_meta_records_the_inner_estimator_counts(self, kind, n_samples, recorded):
+        group, scorer, _, background = make_linear_instance(5, 4, seed=3)
+        cfg = EstimatorConfig(kind=kind, n_samples=n_samples, seed=1)
+        meta = pointwise_shap_explain(group, scorer, background, cfg).meta
+        assert meta["estimator"] == f"pointwise-{kind}"
+        assert meta["n_samples"] == recorded
+        if kind == "kernel":
+            assert meta["coalitions_evaluated"] == _kernel_design(5, n_samples, 1)[2]
+        else:
+            assert "coalitions_evaluated" not in meta
+
+
 class TestAttributionSerialization:
     def test_save_load_round_trip(self, tmp_path, rng):
         attr = Attribution(values=rng.normal(size=5), base_value=0.25, meta={"seed": 7})

@@ -4,9 +4,11 @@
 chunks of MASK_BUDGET_BYTES. The exact and permutation estimators fed by it
 must match, bit for bit, the same estimators fed by `game.value` and
 `game.mean_value` one coalition at a time, for every chunking; so must the
-kernel estimator fed by `game.value` alone.
+kernel estimator fed by `game.value` alone, and the pointwise kernel, which
+evaluates its coalitions through `_PointwiseGame.values`.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -15,9 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InteractionScorer, make_group
-from rankshap import BackgroundSet, KendallTauObjective, LinearScorer, reference_ranking
+from rankshap import (
+    BackgroundSet,
+    EstimatorConfig,
+    KendallTauObjective,
+    LinearScorer,
+    TalentScorer,
+    build_scenarios,
+    pointwise_shap_explain,
+    reference_ranking,
+    sample_talent_background,
+)
 from rankshap import attribution, masking
-from rankshap.attribution import exact_shapley, kernel_shap, permutation_shapley
+from rankshap.attribution import _PointwiseGame, exact_shapley, kernel_shap, permutation_shapley
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
 
@@ -185,3 +197,93 @@ def test_values_chunks_whole_background_batches():
         chunked = game.values(visible, rows)
     assert [c.args[0].shape[0] for c in score.call_args_list] == [12, 12, 12, 6]
     assert chunked.tobytes() == whole.tobytes()
+
+
+def make_pointwise_instance(n, m, bsize, seed, talent):
+    """A query, a row-independent scorer and a background for the pointwise game;
+    a talent instance is a synthetic scenario, whatever n and m."""
+    if talent:
+        scenarios = build_scenarios()
+        group = scenarios[seed % len(scenarios)].group()
+        scorer = TalentScorer(("biased", "unbiased")[seed % 2])
+        return group, scorer, sample_talent_background(bsize, seed)
+    rng = np.random.default_rng(seed)
+    group = make_group(rng.normal(size=(m, n)))
+    w = rng.normal(size=n)
+    w[rng.random(n) < 0.3] = 0.0
+    return group, LinearScorer(w), BackgroundSet(rng.normal(size=(bsize, n)), seed=seed)
+
+
+def pointwise_by_mean_value(group, scorer, background, cfg, top_docs):
+    """`pointwise_shap_explain`'s values with one `mean_value` call per coalition."""
+    B = background.vectors
+    take = min(top_docs, len(group))
+    values = np.zeros(group.n)
+    for doc in reference_ranking(group, scorer)[:take]:
+        game = _PointwiseGame(group.documents[int(doc)].features, scorer, B)
+        values += kernel_shap(
+            game.value, game.n, background, cfg.n_samples, cfg.seed,
+            mean_value_fn=game.mean_value,
+        ).values
+    return values / take
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 7),
+    bsize=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    talent=st.booleans(),
+    # Talent width n = 5 enumerates all 32 coalitions from 32 samples on.
+    n_samples=st.sampled_from([2, 9, 24, 31, 32, 150, 300]),
+    budget=st.sampled_from([1, 200, 3000, masking.MASK_BUDGET_BYTES]),
+)
+@example(n=5, m=4, bsize=6, seed=1, talent=True, n_samples=32, budget=1)
+@example(n=8, m=5, bsize=6, seed=3, talent=False, n_samples=150, budget=1)
+def test_pointwise_kernel_values_fn_matches_mean_value_fn(
+    n, m, bsize, seed, talent, n_samples, budget
+):
+    group, scorer, background = make_pointwise_instance(n, m, bsize, seed, talent)
+    cfg = EstimatorConfig(kind="kernel", n_samples=n_samples, seed=seed)
+    top = int(reference_ranking(group, scorer)[0])
+    game = _PointwiseGame(group.documents[top].features, scorer, background.vectors)
+    try:
+        expected = kernel_shap(
+            game.value, game.n, background, n_samples, seed, mean_value_fn=game.mean_value
+        )
+        explained = pointwise_by_mean_value(group, scorer, background, cfg, top_docs=5)
+    except EstimationError:
+        expected = None
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        if expected is None:
+            with pytest.raises(EstimationError):
+                pointwise_shap_explain(group, scorer, background, cfg)
+            return
+        batched = kernel_shap(
+            game.value, game.n, background, n_samples, seed, values_fn=game.values
+        )
+        attr = pointwise_shap_explain(group, scorer, background, cfg)
+    assert_same(batched, expected)
+    assert attr.values.tobytes() == explained.tobytes()
+
+
+@pytest.mark.parametrize("coalitions_per_chunk", [3, 64, None])
+def test_pointwise_kernel_scores_in_budget_chunks(coalitions_per_chunk):
+    n, k, top_docs = 9, 6, 4
+    group, scorer, background = make_pointwise_instance(n, 7, k, 4, talent=False)
+    cfg = EstimatorConfig(kind="kernel", n_samples=300, seed=4)
+    coalition_bytes = k * n * 8
+    budget = masking.MASK_BUDGET_BYTES
+    if coalitions_per_chunk is not None:
+        budget = coalitions_per_chunk * coalition_bytes
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
+        scorer, "score_batch", wraps=scorer.score_batch
+    ) as score:
+        attr = pointwise_shap_explain(group, scorer, background, cfg, top_docs=top_docs)
+    # The empty and full coalitions take one call, the sampled ones the rest.
+    c = attr.meta["coalitions_evaluated"] - 2
+    limit = math.ceil(c * coalition_bytes / budget) + 1
+    # One extra call ranks the query for its top documents.
+    assert score.call_count - 1 <= top_docs * limit
+    assert max(len(call.args[0]) for call in score.call_args_list) * n * 8 <= budget

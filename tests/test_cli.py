@@ -98,6 +98,34 @@ def test_ground_truth_single_run_exit_2(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("sizes", ["0", "-4", "32,0", "abc", "32,,64"])
+def test_ground_truth_bad_stability_exit_2_before_any_output(workspace, capsys, sizes):
+    tmp, data, scorer = workspace
+    out = tmp / "gt"
+    code = main([
+        "ground-truth", "--data", str(data), "--scorer", str(scorer),
+        "--nsamples", "16", "--runs", "2", "--background", "3",
+        "--stability", sizes, "--out", str(out),
+    ])
+    assert code == 2
+    assert "--stability" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_without_a_multi_document_query_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("1 qid:a 1:0.5 2:0.1\n2 qid:b 1:0.3 2:0.4\n")
+    out = tmp_path / "report.csv"
+    code = main([
+        "evaluate", "--data", str(data), "--scorer", '{"kind": "linear", "weights": [1, -1]}',
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"no query in {data} has 2 or more documents" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".jsonl").exists()
+
+
 def test_evaluate_methods_report(workspace):
     tmp, data, scorer = workspace
     out = tmp / "report.csv"
