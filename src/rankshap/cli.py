@@ -14,7 +14,6 @@ from .data import group_by_query, parse_letor, sample_background
 from .errors import DimensionError, RankShapError
 from .evaluation import (
     estimate_ground_truth,
-    expand_method_names,
     order_metric,
     run_benchmark,
     stability_curve,
@@ -22,7 +21,7 @@ from .evaluation import (
 )
 from .objectives import make_objective, reference_ranking
 from .rankers import load_scorer
-from .synthetic import run_synthetic, write_synthetic_csv
+from .synthetic import SYNTHETIC_METHODS, run_synthetic, write_synthetic_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -158,17 +157,18 @@ def cmd_evaluate(args) -> int:
         if not gt_path.exists():
             raise ValueError(f"ground-truth file not found: {gt_path}")
         gt = Attribution.load(gt_path)
+        preds = []
+        for pred_file in args.pred or []:
+            pred = Attribution.load(pred_file)
+            if pred.n != gt.n:
+                raise ValueError(
+                    f"feature dimension mismatch: gt has {gt.n}, {pred_file} has {pred.n}"
+                )
+            preds.append((Path(pred_file).stem, pred))
         with Path(args.out).open("w") as fh:
             fh.write("method,order_all,valdis_all\n")
-            for pred_file in args.pred or []:
-                pred = Attribution.load(pred_file)
-                if pred.n != gt.n:
-                    raise ValueError(
-                        f"feature dimension mismatch: gt has {gt.n}, {pred_file} has {pred.n}"
-                    )
-                fh.write(
-                    f"{Path(pred_file).stem},{order_metric(gt, pred)},{valdis_metric(gt, pred)}\n"
-                )
+            for stem, pred in preds:
+                fh.write(f"{stem},{order_metric(gt, pred)},{valdis_metric(gt, pred)}\n")
         print(f"wrote evaluation to {args.out}")
         return EXIT_OK
 
@@ -179,12 +179,11 @@ def cmd_evaluate(args) -> int:
     if all(len(g) == 1 for g in groups):
         raise ValueError(f"no query in {args.data} has 2 or more documents")
     cfg = EstimatorConfig(kind=args.estimator, n_samples=args.nsamples, seed=args.seed)
-    methods = expand_method_names(args.methods.split(","))
     report = run_benchmark(
         groups,
         scorer,
         args.objective,
-        methods,
+        args.methods.split(","),
         cfg,
         gt_source=args.gt,
         background_size=args.background,
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthetic", help="talent-search scenario attributions")
     p.add_argument("--variant", default="biased", choices=["biased", "unbiased"])
-    p.add_argument("--methods", default="rankingshap,pointwise,greedy2")
+    p.add_argument("--methods", default=",".join(SYNTHETIC_METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="synthetic.csv")
     p.set_defaults(func=cmd_synthetic)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -151,10 +152,6 @@ def stability_curve(
     return rows
 
 
-def _values_of(attr) -> np.ndarray:
-    return np.asarray(getattr(attr, "values", attr), dtype=float)
-
-
 def _attribution_ranks(values: np.ndarray) -> np.ndarray:
     """Rank features descending by value; ties give the lower index the better rank."""
     order = np.argsort(-values, kind="stable")
@@ -163,16 +160,23 @@ def _attribution_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _metric_values(gt, pred, k: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The gt and predicted values, checked for equal shape and 1 <= k <= n."""
+    gt_v = np.asarray(getattr(gt, "values", gt), dtype=float)
+    pred_v = np.asarray(getattr(pred, "values", pred), dtype=float)
+    if gt_v.shape != pred_v.shape:
+        raise DimensionError(f"length mismatch: {gt_v.shape} vs {pred_v.shape}")
+    if k is not None and not 1 <= k <= len(gt_v):
+        raise ValueError(f"k must be in [1, {len(gt_v)}], got {k}")
+    return gt_v, pred_v
+
+
 def order_metric(gt, pred, k: int | None = None) -> float:
     """Spearman's footrule between the gt and predicted feature rankings.
 
     With k, the sum runs only over the top-k features of the ground truth.
     """
-    gt_v, pred_v = _values_of(gt), _values_of(pred)
-    if gt_v.shape != pred_v.shape:
-        raise DimensionError(f"length mismatch: {gt_v.shape} vs {pred_v.shape}")
-    if k is not None and not 1 <= k <= len(gt_v):
-        raise ValueError(f"k must be in [1, {len(gt_v)}], got {k}")
+    gt_v, pred_v = _metric_values(gt, pred, k)
     gt_ranks = _attribution_ranks(gt_v)
     pred_ranks = _attribution_ranks(pred_v)
     diffs = np.abs(gt_ranks - pred_ranks)
@@ -184,11 +188,7 @@ def order_metric(gt, pred, k: int | None = None) -> float:
 
 def valdis_metric(gt, pred, k: int | None = None) -> float:
     """Mean L1 distance between attribution values (top-k of gt when k given)."""
-    gt_v, pred_v = _values_of(gt), _values_of(pred)
-    if gt_v.shape != pred_v.shape:
-        raise DimensionError(f"length mismatch: {gt_v.shape} vs {pred_v.shape}")
-    if k is not None and not 1 <= k <= len(gt_v):
-        raise ValueError(f"k must be in [1, {len(gt_v)}], got {k}")
+    gt_v, pred_v = _metric_values(gt, pred, k)
     diffs = np.abs(gt_v - pred_v)
     if k is None:
         return float(diffs.mean())
@@ -223,41 +223,71 @@ class EvalReport:
                 fh.write(json.dumps(record) + "\n")
 
 
-def expand_method_names(names) -> list[str]:
-    """`greedy<k>` expands to its iter and marg variants."""
-    out = []
+@dataclass(frozen=True)
+class Method:
+    """One parsed method: its report name, its kind and, for greedy, k and the reading."""
+
+    name: str
+    kind: str
+    k: int = 0
+    reading: str = "iter"
+
+
+def parse_methods(names, n: int, *, evaluate: bool = True) -> list[Method]:
+    """Parse method names for data with n features.
+
+    The names are `rankingshap`, `pointwise`, `random`, `greedy<k>` with
+    1 <= k <= n and an optional `_iter` or `_marg` reading, and, for
+    `evaluate` only, `gt`. In `evaluate` a bare `greedy<k>` stands for both
+    readings; otherwise it is the iterative one. Raises ValueError naming the
+    first bad or repeated name (after expansion).
+    """
+    kinds = ("rankingshap", "pointwise", "random") + (("gt",) if evaluate else ())
+    methods: list[Method] = []
     for name in names:
-        if name.startswith("greedy") and not name.endswith(("_iter", "_marg")):
-            out += [f"{name}_iter", f"{name}_marg"]
+        greedy = re.fullmatch(r"greedy([1-9][0-9]*)(?:_(iter|marg))?", name)
+        if name in kinds:
+            parsed = [Method(name, name)]
+        elif greedy and int(greedy[1]) <= n:
+            k, reading = int(greedy[1]), greedy[2]
+            if reading or not evaluate:
+                parsed = [Method(name, "greedy", k, reading or "iter")]
+            else:
+                parsed = [Method(f"{name}_{r}", "greedy", k, r) for r in ("iter", "marg")]
         else:
-            out.append(name)
-    return out
+            raise ValueError(
+                f"invalid method {name!r}: expected one of {', '.join(kinds)} or "
+                f"greedy<k>[_iter|_marg] with 1 <= k <= {n}"
+            )
+        for method in parsed:
+            if any(m.name == method.name for m in methods):
+                raise ValueError(f"repeated method {method.name!r}")
+            methods.append(method)
+    return methods
 
 
-def _run_method(name, group, scorer, objective, background, cfg: EstimatorConfig, seed,
-                greedy_results: dict | None = None):
-    """Attribution values of one method (`rankingshap`, `pointwise`, `random` or
-    `greedy<k>_iter|_marg`) on one query, with `cfg` reseeded to `seed`.
+def _run_method(method: Method, group, scorer, objective, background, cfg: EstimatorConfig,
+                seed, greedy_results: dict | None = None, stop_on_negative: bool = False):
+    """Attribution values of one parsed method (not `gt`) on one query, with
+    `cfg` reseeded to `seed`.
 
     A given `greedy_results` dict keeps each k's greedy result for this query,
     so the iter and marg readings share one run.
     """
     qcfg = replace(cfg, seed=seed)
-    if name == "rankingshap":
+    if method.kind == "rankingshap":
         return rankingshap_explain(group, scorer, objective, background, qcfg).values
-    if name == "pointwise":
+    if method.kind == "pointwise":
         return pointwise_shap_explain(group, scorer, background, qcfg).values
-    if name == "random":
+    if method.kind == "random":
         return random_attribution(group.n, seed).values
-    if name.startswith("greedy"):
-        spec, _, variant = name.partition("_")
-        k = int(spec[len("greedy"):])
-        results = {} if greedy_results is None else greedy_results
-        if k not in results:
-            results[k] = greedy_attribution(group, scorer, objective, background, k)
-        result = results[k]
-        return result.attributions_marg if variant == "marg" else result.attributions_iter
-    raise ValueError(f"unknown method {name!r}")
+    results = {} if greedy_results is None else greedy_results
+    if method.k not in results:
+        results[method.k] = greedy_attribution(
+            group, scorer, objective, background, method.k, stop_on_negative=stop_on_negative
+        )
+    result = results[method.k]
+    return result.attributions_marg if method.reading == "marg" else result.attributions_iter
 
 
 def run_benchmark(
@@ -280,12 +310,11 @@ def run_benchmark(
     """
     if gt_source not in ("exact", "estimated"):
         raise ValueError(f"unknown gt_source {gt_source!r}")
-    methods = expand_method_names(methods)
-    ks = tuple(k for k in ks if dataset and k <= dataset[0].n)
-    metric_names = (
-        ["order_all"] + [f"order@{k}" for k in ks] + ["valdis_all"] + [f"valdis@{k}" for k in ks]
-    )
-    sums = {m: {c: 0.0 for c in metric_names} for m in methods}
+    n = dataset[0].n if dataset else 0
+    methods = parse_methods(methods, n)
+    ks = tuple(k for k in ks if k <= n)
+    metric_names = EvalReport(rows={}, ks=ks).columns()
+    sums = {m.name: {c: 0.0 for c in metric_names} for m in methods}
     per_query = []
     skipped = 0
     counted = 0
@@ -307,11 +336,11 @@ def run_benchmark(
             ).mean_attribution.values
         counted += 1
         greedy_results = {}
-        for name in methods:
-            pred = gt if name == "gt" else _run_method(
-                name, group, scorer, objective, background, cfg, qseed, greedy_results
+        for method in methods:
+            pred = gt if method.kind == "gt" else _run_method(
+                method, group, scorer, objective, background, cfg, qseed, greedy_results
             )
-            record = {"query_id": group.query_id, "method": name}
+            record = {"query_id": group.query_id, "method": method.name}
             record["order_all"] = order_metric(gt, pred)
             record["valdis_all"] = valdis_metric(gt, pred)
             for k in ks:
@@ -319,9 +348,9 @@ def run_benchmark(
                 record[f"valdis@{k}"] = valdis_metric(gt, pred, k)
             per_query.append(record)
             for c in metric_names:
-                sums[name][c] += record[c]
+                sums[method.name][c] += record[c]
     rows = {
-        m: {c: (sums[m][c] / counted if counted else float("nan")) for c in metric_names}
-        for m in methods
+        name: {c: (total / counted if counted else float("nan")) for c, total in row.items()}
+        for name, row in sums.items()
     }
     return EvalReport(rows=rows, ks=ks, per_query=per_query, skipped_queries=skipped)

@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import EstimatorConfig
-from .baselines import greedy_attribution
 from .data import BackgroundSet, Document, QueryGroup
-from .evaluation import _run_method
+from .evaluation import Method, _run_method, parse_methods
 from .objectives import KendallTauObjective, reference_ranking
 from .talent import (
     _BEST,
@@ -74,27 +73,25 @@ SYNTHETIC_METHODS = ("rankingshap", "pointwise", "greedy2")
 def explain_scenario(
     scenario: Scenario,
     variant: str,
-    method: str,
+    method: str | Method,
     background: BackgroundSet,
     seed: int = 0,
 ) -> np.ndarray:
     """Attribution values of one method on one scenario (exact estimators).
 
-    `greedy<k>` (k defaults to 2) reports iterative attributions and, at
-    k = 2, stops once every remaining feature lowers the objective; the other
+    A bare `greedy<k>` reports the iterative attributions and, at k = 2,
+    stops once every remaining feature lowers the objective; the other
     methods run as in `evaluation.run_benchmark`.
     """
+    if isinstance(method, str):
+        (method,) = parse_methods([method], len(FEATURE_NAMES), evaluate=False)
     group = scenario.group()
     scorer = TalentScorer(variant)
     objective = KendallTauObjective(reference_ranking(group, scorer))
-    if method.startswith("greedy"):
-        k = int(method[len("greedy"):] or 2)
-        result = greedy_attribution(
-            group, scorer, objective, background, k, stop_on_negative=(k == 2)
-        )
-        return result.attributions_iter
     cfg = EstimatorConfig(kind="exact")
-    return _run_method(method, group, scorer, objective, background, cfg, seed)
+    return _run_method(
+        method, group, scorer, objective, background, cfg, seed, stop_on_negative=method.k == 2
+    )
 
 
 def run_synthetic(
@@ -103,20 +100,24 @@ def run_synthetic(
     background_size: int = 100,
     seed: int = 0,
 ) -> list[dict]:
-    """All scenarios x methods; rows of feature,scenario,method,phi."""
+    """All scenarios x methods; rows of feature,scenario,method,phi.
+
+    Every method name is checked before any scenario runs.
+    """
     if variant not in ("biased", "unbiased"):
         raise ValueError(f"unknown variant {variant!r}")
+    parsed = parse_methods(methods, len(FEATURE_NAMES), evaluate=False)
     background = sample_talent_background(background_size, seed)
     rows = []
     for scenario in build_scenarios():
-        for method in methods:
+        for method in parsed:
             values = explain_scenario(scenario, variant, method, background, seed)
             for i, name in enumerate(FEATURE_NAMES):
                 rows.append(
                     {
                         "feature": name,
                         "scenario": scenario.name,
-                        "method": method,
+                        "method": method.name,
                         "phi": float(values[i]),
                     }
                 )

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rankshap
-from rankshap import Attribution
+from rankshap import Attribution, evaluation, synthetic
 from rankshap.cli import main
 
 
@@ -176,6 +177,45 @@ def test_evaluate_gt_file_dimension_mismatch_exit_2(workspace, tmp_path):
     assert code == 2
 
 
+
+def test_evaluate_gt_file_checks_every_pred_before_writing(tmp_path, capsys):
+    gt, ok, bad = (tmp_path / f"{name}.csv" for name in ("gt", "ok", "bad"))
+    Attribution(values=np.zeros(3), base_value=0.0).save(gt)
+    Attribution(values=np.ones(3), base_value=0.0).save(ok)
+    Attribution(values=np.zeros(4), base_value=0.0).save(bad)
+    out = tmp_path / "r.csv"
+    code = main(["evaluate", "--gt-file", str(gt), "--pred", str(ok), str(bad), "--out", str(out)])
+    assert code == 2
+    assert "bad.csv has 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, name", [
+    ("foo", "foo"), ("greedy", "greedy"), ("greedyx", "greedyx"), ("greedy0", "greedy0"),
+    ("greedy13", "greedy13"), ("greedy2_foo", "greedy2_foo"),
+    ("greedy2,greedy2_iter", "greedy2_iter"), ("rankingshap,,random", ""),
+])
+def test_evaluate_bad_method_exit_2_before_ground_truth(tmp_path, capsys, methods, name):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(
+        f"0 qid:q{q} " + " ".join(f"{k + 1}:{x:.6f}" for k, x in enumerate(rng.normal(size=12)))
+        + "\n"
+        for q in range(2) for _ in range(3)
+    ))
+    scorer = json.dumps({"kind": "linear", "weights": [1.0] * 12})
+    out = tmp_path / "r.csv"
+    with mock.patch.object(evaluation, "exact_shapley") as exact:
+        code = main([
+            "evaluate", "--data", str(data), "--scorer", scorer, "--methods", methods,
+            "--out", str(out),
+        ])
+    assert code == 2
+    assert f"method {name!r}" in capsys.readouterr().err
+    exact.assert_not_called()
+    assert not out.exists()
+    assert not out.with_suffix(".jsonl").exists()
+
 @pytest.mark.parametrize("indices", [(0, 0, 1), (0, 1, 3)])
 def test_evaluate_gt_file_bad_feature_index_exit_2(tmp_path, capsys, indices):
     gt = tmp_path / "gt.csv"
@@ -287,6 +327,18 @@ def test_synthetic_unknown_variant_usage_error(tmp_path):
         main(["synthetic", "--variant", "diagonal", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
 
+
+
+def test_synthetic_bad_method_exit_2_before_any_scenario(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with mock.patch.object(
+        synthetic, "explain_scenario", wraps=synthetic.explain_scenario
+    ) as explain:
+        code = main(["synthetic", "--methods", "greedy2,foo", "--out", str(out)])
+    assert code == 2
+    assert "method 'foo'" in capsys.readouterr().err
+    explain.assert_not_called()
+    assert not out.exists()
 
 def test_threaded_explain_matches_serial(workspace, monkeypatch):
     tmp, data, scorer = workspace

@@ -19,6 +19,7 @@ from rankshap import (
     valdis_metric,
 )
 from rankshap import evaluation
+from rankshap.evaluation import Method, parse_methods
 from rankshap.objectives import ListwiseGame
 
 
@@ -203,3 +204,44 @@ class TestRunBenchmark:
         report.to_csv(out)
         header = out.read_text().splitlines()[0]
         assert header == "method,order_all,order@3,valdis_all,valdis@3"
+
+    def test_methods_are_looked_up_at_call_time(self):
+        groups, scorer = self._dataset(queries=2)
+        cfg = EstimatorConfig(kind="exact")
+        with mock.patch.object(
+            evaluation, "pointwise_shap_explain", wraps=evaluation.pointwise_shap_explain
+        ) as pointwise:
+            report = run_benchmark(
+                groups, scorer, "kendall", ["pointwise"], cfg, background_size=3, ks=(3,)
+            )
+        assert set(report.rows) == {"pointwise"}
+        assert pointwise.call_count == 2
+
+
+class TestParseMethods:
+    def test_evaluate_expands_bare_greedy(self):
+        methods = parse_methods(["gt", "greedy3", "greedy2_marg", "random"], 5)
+        assert methods == [
+            Method("gt", "gt"),
+            Method("greedy3_iter", "greedy", 3, "iter"),
+            Method("greedy3_marg", "greedy", 3, "marg"),
+            Method("greedy2_marg", "greedy", 2, "marg"),
+            Method("random", "random"),
+        ]
+
+    def test_synthetic_keeps_bare_greedy_iterative_and_refuses_gt(self):
+        assert parse_methods(["greedy2"], 5, evaluate=False) == [
+            Method("greedy2", "greedy", 2, "iter")
+        ]
+        with pytest.raises(ValueError, match="invalid method 'gt'"):
+            parse_methods(["gt"], 5, evaluate=False)
+
+    @pytest.mark.parametrize("names, bad", [
+        (["greedy6"], "invalid method 'greedy6'"),
+        (["greedy02"], "invalid method 'greedy02'"),
+        (["greedy2_marg", "greedy2"], "repeated method 'greedy2_marg'"),
+        (["random", "random"], "repeated method 'random'"),
+    ])
+    def test_rejects_first_bad_or_repeated_name(self, names, bad):
+        with pytest.raises(ValueError, match=bad):
+            parse_methods(names, 5)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from rankshap import CANDIDATES, University, build_scenarios, run_synthetic, sample_talent_background
+from rankshap import (
+    CANDIDATES,
+    KendallTauObjective,
+    TalentScorer,
+    University,
+    build_scenarios,
+    greedy_attribution,
+    reference_ranking,
+    run_synthetic,
+    sample_talent_background,
+)
 from rankshap.synthetic import SCENARIO_MEMBERS, explain_scenario
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
@@ -83,3 +93,19 @@ def test_explain_scenario_unknown_method():
     bg = sample_talent_background(10, seed=0)
     with pytest.raises(ValueError):
         explain_scenario(scenario("average"), "biased", "mystery", bg)
+
+
+def test_explain_scenario_greedy_readings():
+    # A bare greedy<k> is the iterative reading; at k = 2 selection stops on a negative gain.
+    bg = sample_talent_background(10, seed=0)
+    scen = scenario("neg_biased")
+    group = scen.group()
+    scorer = TalentScorer("biased")
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    result = greedy_attribution(group, scorer, objective, bg, 2, stop_on_negative=True)
+    for method, expected in [
+        ("greedy2", result.attributions_iter),
+        ("greedy2_iter", result.attributions_iter),
+        ("greedy2_marg", result.attributions_marg),
+    ]:
+        np.testing.assert_array_equal(explain_scenario(scen, "biased", method, bg), expected)
