@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup
 from .errors import CapacityError, EstimationError
-from .masking import chunk_size, coalition_to_template
+from .masking import chunk_size, coalition_to_template, distinct_rows
 from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
@@ -144,28 +144,34 @@ def _batched(value_fn: ValueFn, values_fn: ValuesFn | None) -> ValuesFn:
 
 def _coalition_means(
     visible: np.ndarray,
-    B: np.ndarray,
+    distinct: np.ndarray,
+    inverse: np.ndarray,
     value_fn: ValueFn,
     mean_value_fn=None,
     values_fn: ValuesFn | None = None,
 ) -> np.ndarray:
     """Background mean of v(S, b) for each coalition row of the (c, n) boolean `visible`.
 
-    Uses `values_fn` (or the lifted `value_fn`) over chunks of coalitions tiled
-    over the background, each within MASK_BUDGET_BYTES of rows; without
+    `distinct` and `inverse` are the background's `masking.distinct_rows`. Uses
+    `values_fn` (or the lifted `value_fn`) over chunks of coalitions tiled
+    over the distinct rows, each within MASK_BUDGET_BYTES of rows, and reads
+    the values back in background order before the mean; without
     `values_fn`, a given `mean_value_fn` is called once per coalition.
     """
     if values_fn is None and mean_value_fn is not None:
         return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in visible])
     evaluate = _batched(value_fn, values_fn)
-    k, n = B.shape
+    k, n = distinct.shape
     out = np.empty(len(visible))
     step = chunk_size(k * n * 8)
     for lo in range(0, len(visible), step):
         vis = visible[lo:lo + step]
         c = len(vis)
-        vals = evaluate(np.repeat(vis, k, axis=0), np.tile(B, (c, 1)))
-        out[lo:lo + c] = vals.reshape(c, k).mean(axis=1)
+        vals = evaluate(np.repeat(vis, k, axis=0), np.tile(distinct, (c, 1))).reshape(c, k)
+        # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
+        # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
+        # and sums in another order.
+        out[lo:lo + c] = np.take(vals, inverse, axis=1).mean(axis=1)
     return out
 
 
@@ -186,19 +192,21 @@ def exact_shapley(
     """Exact Shapley values by full coalition enumeration (2^n evaluations).
 
     Coalition means come from `values_fn` over each chunk of coalitions tiled
-    over the background, else from `mean_value_fn`, else from `value_fn`.
+    over the distinct background rows, else from `mean_value_fn`, else from
+    `value_fn`.
     """
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
     B = _background_array(background)
+    distinct, inverse = distinct_rows(B)
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     V = np.empty(1 << n)
-    step = chunk_size(len(B) * n * 8)
+    step = chunk_size(len(distinct) * n * 8)
     for lo in range(0, 1 << n, step):
         chunk = masks[lo:lo + step]
         V[lo:lo + len(chunk)] = _coalition_means(
-            (chunk[:, None] & bits) != 0, B, value_fn, mean_value_fn, values_fn
+            (chunk[:, None] & bits) != 0, distinct, inverse, value_fn, mean_value_fn, values_fn
         )
     sizes = _popcount(masks)
     w = np.array([shapley_weight(n, s) for s in range(n)])
@@ -336,9 +344,10 @@ def kernel_shap(
     if n_samples < 2:
         raise ValueError(f"kernel estimator needs n_samples >= 2, got {n_samples}")
     B = _background_array(background)
+    distinct, inverse = distinct_rows(B)
 
     def means(visible):
-        return _coalition_means(visible, B, value_fn, mean_value_fn, values_fn)
+        return _coalition_means(visible, distinct, inverse, value_fn, mean_value_fn, values_fn)
 
     base, v_full = means(np.array([[False] * n, [True] * n])).tolist()
     delta = v_full - base

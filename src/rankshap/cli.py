@@ -66,6 +66,17 @@ def _objective(spec: str, group, scorer):
     return make_objective(spec, reference_ranking(group, scorer))
 
 
+def _seed(text: str) -> int:
+    """The `--seed` argument type: a non-negative integer, as numpy's RNG needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative integer, got {text!r}")
+    return seed
+
+
 def _sample_sizes(spec: str) -> list[int]:
     """The `--stability` sample sizes: comma-separated positive integers."""
     sizes = [s.strip() for s in spec.split(",")]
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="kernel", choices=["exact", "permutation", "kernel"])
     p.add_argument("--nsamples", type=int, default=None)
     p.add_argument("--background", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="attributions")
     p.set_defaults(func=cmd_explain)
 
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nsamples", type=int, default=2**16)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--background", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--query", default=None)
     p.add_argument("--stability", default=None, help="comma-separated sample sizes")
     p.add_argument("--out", default="ground_truth")
@@ -250,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", default="exact", choices=["exact", "estimated"])
     p.add_argument("--gt-file", default=None, help="evaluate saved attribution CSVs instead")
     p.add_argument("--pred", nargs="*", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="report.csv")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synthetic", help="talent-search scenario attributions")
     p.add_argument("--variant", default="biased", choices=["biased", "unbiased"])
     p.add_argument("--methods", default=",".join(SYNTHETIC_METHODS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="synthetic.csv")
     p.set_defaults(func=cmd_synthetic)
     return parser

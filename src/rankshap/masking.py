@@ -1,4 +1,4 @@
-"""Coalition encoding and the memory budget of batched listwise masking.
+"""Coalition encoding, background rows and the memory budget of batched masking.
 
 Convention: template bit 1 means the feature is replaced by the background
 value, bit 0 keeps the original. A coalition lists the VISIBLE features, so
@@ -20,6 +20,23 @@ def chunk_size(item_bytes: int, group: int = 1) -> int:
     """Items per chunk: whole groups of `group` items within MASK_BUDGET_BYTES,
     and at least one group."""
     return group * max(1, MASK_BUDGET_BYTES // (group * item_bytes))
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in first-seen order, and the index of
+    each row among them, so that `distinct[inverse]` equals `rows`; rows
+    without repeats come back as they are, in the same order.
+
+    Rows are keyed by their bytes, so -0.0 and 0.0 stay apart: `np.unique`
+    with `axis=0` compares them as equal floats and would merge them.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return rows[first[order]], position[inverse.ravel()]
 
 
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:

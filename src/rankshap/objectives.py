@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup
 from .errors import DimensionError
-from .masking import chunk_size, coalition_to_template
+from .masking import chunk_size, coalition_to_template, distinct_rows
 from .rankers import Scorer, rank, rank_many
 
 
@@ -171,7 +171,8 @@ class ListwiseGame:
     """Coalition game for one query: v(S, b) evaluated in batches by `values`.
 
     `value` and `mean_value` wrap `values` for one coalition; `mean_value`
-    evaluates all background rows in one scorer batch.
+    evaluates each distinct background row once, in one scorer batch, and
+    averages the values over the whole background.
     """
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
@@ -186,18 +187,19 @@ class ListwiseGame:
             )
         self.n = self.X.shape[1]
         self.m = self.X.shape[0]
+        self._distinct, self._inverse = distinct_rows(self.background)
 
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Objective values of k masked lists, one per row of the (k, n) `rows`.
 
         List i keeps the features where the boolean visible[i] is True and
         takes rows[i] elsewhere, in every document; a single (1, n) `visible`
-        row applies to all k. A chunk holds as many whole background batches
-        as fit in MASK_BUDGET_BYTES of mask tensor, and at least one; each
-        chunk makes one score, rank and reduce call.
+        row applies to all k. A chunk holds as many whole batches of the
+        distinct background rows as fit in MASK_BUDGET_BYTES of mask tensor,
+        and at least one; each chunk makes one score, rank and reduce call.
         """
         k = len(rows)
-        step = chunk_size(self.m * self.n * 8, len(self.background))
+        step = chunk_size(self.m * self.n * 8, len(self._distinct))
         if k > step:
             visible = np.broadcast_to(visible, rows.shape)
         out = np.empty(k)
@@ -217,4 +219,4 @@ class ListwiseGame:
         return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
 
     def mean_value(self, visible) -> float:
-        return float(self.values(self._visible(visible), self.background).mean())
+        return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())

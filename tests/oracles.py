@@ -2,10 +2,12 @@
 kernel SHAP coalition draw and the talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
-and the objective classes' `evaluate_many`), the kernel design as boolean rows
+and the objective classes' `evaluate_many`), background means over the
+distinct background rows only, the kernel design as boolean rows
 (`attribution._kernel_design`), and the talent model only in
 `TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
-one-candidate forms are kept here as independent oracles for the tests.
+one-row, one-candidate forms are kept here as independent oracles for the
+tests.
 """
 
 from __future__ import annotations
@@ -126,6 +128,26 @@ def value_function(group, scorer, objective, t: np.ndarray, b: np.ndarray) -> fl
     """Similarity of the masked group's ranking to the reference ranking."""
     perturbed = masked_matrix(group.feature_matrix(), t, b)
     return objective.evaluate(rank(scorer.score_batch(perturbed)))
+
+
+def _template(visible, n: int) -> np.ndarray:
+    t = np.ones(n, dtype=np.uint8)
+    t[list(visible)] = 0
+    return t
+
+
+def listwise_mean(group, scorer, objective, visible, B: np.ndarray) -> float:
+    """Background mean of one coalition's listwise value: each row of B, in
+    order and repeats included, masks the group on its own, then `.mean()`."""
+    t = _template(visible, group.n)
+    return float(np.array([value_function(group, scorer, objective, t, b) for b in B]).mean())
+
+
+def pointwise_mean(scorer, x: np.ndarray, visible, B: np.ndarray) -> float:
+    """Background mean of one document's masked score, each row of B in order,
+    scored as a one-row batch."""
+    t = _template(visible, len(x))
+    return float(np.array([scorer.score_batch(apply_mask(x, t, b)[None, :])[0] for b in B]).mean())
 
 
 def kernel_design(n: int, n_samples: int, seed: int) -> tuple[list[int], list[float], int]:

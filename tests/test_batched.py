@@ -5,7 +5,9 @@ chunks of MASK_BUDGET_BYTES. The exact and permutation estimators fed by it
 must match, bit for bit, the same estimators fed by `game.value` and
 `game.mean_value` one coalition at a time, for every chunking; so must the
 kernel estimator fed by `game.value` alone, and the pointwise kernel, which
-evaluates its coalitions through `_PointwiseGame.values`.
+evaluates its coalitions through `_PointwiseGame.values`. Background means
+evaluate each distinct background row once; with repeated rows they must
+match a mean that evaluates every row.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import InteractionScorer, make_group
 from rankshap import (
     BackgroundSet,
@@ -24,12 +27,16 @@ from rankshap import (
     LinearScorer,
     TalentScorer,
     build_scenarios,
+    greedy_attribution,
     pointwise_shap_explain,
+    rankingshap_explain,
     reference_ranking,
+    sample_background,
     sample_talent_background,
 )
 from rankshap import attribution, masking
 from rankshap.attribution import _PointwiseGame, exact_shapley, kernel_shap, permutation_shapley
+from rankshap.baselines import greedy_select
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
 
@@ -50,15 +57,18 @@ class RowwiseInteractionScorer(InteractionScorer):
         )
 
 
+def make_scorer(rng, n, interaction):
+    if interaction:
+        return RowwiseInteractionScorer(rng.normal(size=n), rng.normal(size=(n, n)) * 0.4)
+    w = rng.normal(size=n)
+    w[rng.random(n) < 0.3] = 0.0
+    return LinearScorer(w)
+
+
 def make_game(n, m, bsize, seed, interaction):
     rng = np.random.default_rng(seed)
     group = make_group(rng.normal(size=(m, n)))
-    if interaction:
-        scorer = RowwiseInteractionScorer(rng.normal(size=n), rng.normal(size=(n, n)) * 0.4)
-    else:
-        w = rng.normal(size=n)
-        w[rng.random(n) < 0.3] = 0.0
-        scorer = LinearScorer(w)
+    scorer = make_scorer(rng, n, interaction)
     background = BackgroundSet(rng.normal(size=(bsize, n)), seed=seed)
     objective = KendallTauObjective(reference_ranking(group, scorer))
     return ListwiseGame(group, scorer, objective, background), background
@@ -287,3 +297,62 @@ def test_pointwise_kernel_scores_in_budget_chunks(coalitions_per_chunk):
     # One extra call ranks the query for its top documents.
     assert score.call_count - 1 <= top_docs * limit
     assert max(len(call.args[0]) for call in score.call_args_list) * n * 8 <= budget
+
+
+def repeated_background(rng, n, seed):
+    """`sample_background` over 6 documents at size 25, so rows repeat, plus
+    two rows that differ only in the sign of one zero and two one ulp apart."""
+    docs = list(make_group(rng.normal(size=(6, n)), qid="bg").documents)
+    sampled = sample_background(docs, 25, seed).vectors
+    signed, ulp = np.repeat(rng.normal(size=(2, 1, n)), 2, axis=1)
+    signed[:, 0] = [0.0, -0.0]
+    ulp[1, -1] = np.nextafter(ulp[0, -1], np.inf)
+    rows = np.vstack([sampled, signed, ulp])
+    return BackgroundSet(rows[rng.permutation(len(rows))], seed=seed)
+
+
+@pytest.mark.parametrize("interaction", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repeated_background_rows_match_full_evaluation(seed, interaction):
+    n, m, n_samples = 7, 5, 40
+    rng = np.random.default_rng(seed)
+    group = make_group(rng.normal(size=(m, n)))
+    scorer = make_scorer(rng, n, interaction)
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    background = repeated_background(rng, n, seed)
+    B = background.vectors
+
+    distinct, inverse = masking.distinct_rows(B)
+    assert len(distinct) == len({row.tobytes() for row in B}) < len(B)
+    assert distinct[inverse].tobytes() == B.tobytes()
+    signed = B[B[:, 0] == 0.0]
+    assert len(signed) == 2 and len(masking.distinct_rows(signed)[0]) == 2
+
+    def listwise(visible):
+        return oracles.listwise_mean(group, scorer, objective, visible, B)
+
+    for kind in ("exact", "kernel"):
+        cfg = EstimatorConfig(kind=kind, n_samples=n_samples, seed=seed)
+        expected = (
+            exact_shapley(None, n, background, mean_value_fn=listwise)
+            if kind == "exact"
+            else kernel_shap(None, n, background, n_samples, seed, mean_value_fn=listwise)
+        )
+        assert_same(rankingshap_explain(group, scorer, objective, background, cfg), expected)
+
+    cfg = EstimatorConfig(kind="kernel", n_samples=n_samples, seed=seed)
+    pointwise = np.zeros(n)
+    for doc in reference_ranking(group, scorer)[:5]:
+        x = group.documents[int(doc)].features
+        pointwise += kernel_shap(
+            None, n, background, n_samples, seed,
+            mean_value_fn=lambda visible: oracles.pointwise_mean(scorer, x, visible, B),
+        ).values
+    attr = pointwise_shap_explain(group, scorer, background, cfg)
+    assert attr.values.tobytes() == (pointwise / 5).tobytes()
+
+    greedy = greedy_attribution(group, scorer, objective, background, 3)
+    expected = greedy_select(listwise, n, 3)
+    assert greedy.selection_order == expected.selection_order
+    assert greedy.attributions_iter.tobytes() == expected.attributions_iter.tobytes()
+    assert greedy.attributions_marg.tobytes() == expected.attributions_marg.tobytes()

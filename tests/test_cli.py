@@ -438,3 +438,18 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         }
     assert len(outputs["1"]) == 2 * 2 + 2 * (2 + 2 * 2 + 1)
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+@pytest.mark.parametrize("command", ["explain", "ground-truth", "evaluate", "synthetic"])
+def test_bad_seed_usage_error_names_the_flag(workspace, capsys, command, seed):
+    tmp, data, scorer = workspace
+    inputs = [] if command == "synthetic" else ["--data", str(data), "--scorer", str(scorer)]
+    out = tmp / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected non-negative integer, got {seed!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()

@@ -2,8 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankshap import LinearScorer, Scorer, TalentScorer, load_scorer, rank
+from rankshap import (
+    LinearScorer,
+    Scorer,
+    TalentScorer,
+    load_scorer,
+    rank,
+    sample_talent_background,
+)
 
 
 def test_rank_basic():
@@ -42,6 +51,31 @@ def test_linear_scorer_batch_matches_scalar(rng):
     expected = [np.dot(scorer.weights, row) for row in X]
     np.testing.assert_allclose(scorer.score_batch(X), expected)
     np.testing.assert_allclose([scorer.score(row) for row in X], expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 150),
+    k=st.integers(1, 40),
+    position=st.integers(0, 40),
+    talent=st.booleans(),
+)
+def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, talent):
+    # The Scorer.score_batch contract, which background means rely on when
+    # they score each distinct background row once.
+    rng = np.random.default_rng(seed)
+    if talent:
+        scorer = TalentScorer(("biased", "unbiased")[seed % 2])
+        X = sample_talent_background(k + 1, seed).vectors
+    else:
+        scorer = LinearScorer(rng.normal(size=n))
+        X = rng.normal(size=(k + 1, n))
+    alone = np.concatenate([scorer.score_batch(row[None, :]) for row in X])
+    assert scorer.score_batch(X).tobytes() == alone.tobytes()
+    at = min(position, k)
+    batch = np.insert(X[1:], at, X[0], axis=0)
+    assert scorer.score_batch(batch)[at].tobytes() == alone[0].tobytes()
 
 
 def test_score_derives_from_score_batch():
