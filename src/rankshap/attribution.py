@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import BackgroundSet, QueryGroup
+from .data import BackgroundSet, QueryGroup, background_array
 from .errors import CapacityError, EstimationError
-from .masking import chunk_size, coalition_to_template, distinct_rows
+from .masking import chunk_size, coalition_means, coalition_to_template, distinct_rows
 from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
@@ -67,25 +67,50 @@ class Attribution:
 
     @classmethod
     def load(cls, csv_path: str | Path) -> "Attribution":
+        """Read a `save`d attribution; a malformed CSV or sidecar raises a
+        ValueError naming the file, and the CSV line for a bad row."""
         csv_path = Path(csv_path)
-        with csv_path.open() as fh:
-            rows = list(csv.DictReader(fh))
+        with csv_path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+        if not {"feature_index", "phi"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{csv_path}: header must name feature_index and phi")
+        if not rows:
+            raise ValueError(f"{csv_path}: no attribution rows")
         values = np.empty(len(rows))
         seen = np.zeros(len(rows), dtype=bool)
-        for row in rows:
-            i = int(row["feature_index"])
-            if not 0 <= i < len(rows) or seen[i]:
+        for line, row in rows:
+            if None in row:
+                raise ValueError(f"{csv_path}: line {line} has more fields than the header")
+            index, phi = row["feature_index"], row["phi"]
+            try:
+                i = int(index)
+            except (TypeError, ValueError):
                 raise ValueError(
-                    f"{csv_path}: feature_index {i} is repeated or outside 0..{len(rows) - 1}"
-                )
+                    f"{csv_path}: feature_index {index!r} on line {line} is not an integer"
+                ) from None
+            if not 0 <= i < len(rows) or seen[i]:
+                raise ValueError(f"{csv_path}: feature_index {i} on line {line} is repeated"
+                                 f" or outside 0..{len(rows) - 1}")
+            try:
+                values[i] = float(phi)
+            except (TypeError, ValueError):
+                values[i] = math.nan
+            if not math.isfinite(values[i]):
+                raise ValueError(f"{csv_path}: phi {phi!r} on line {line} is not a finite number")
             seen[i] = True
-            values[i] = float(row["phi"])
         meta = {}
-        base_value = 0.0
         sidecar = csv_path.with_suffix(".json")
         if sidecar.exists():
-            meta = json.loads(sidecar.read_text())
-            base_value = meta.pop("base_value", 0.0)
+            try:
+                meta = json.loads(sidecar.read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{sidecar}: invalid JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise ValueError(f"{sidecar}: expected a JSON object")
+        base_value = meta.pop("base_value", 0.0)
+        if not isinstance(base_value, (int, float)) or not math.isfinite(base_value):
+            raise ValueError(f"{sidecar}: base_value {base_value!r} is not a finite number")
         return cls(values=values, base_value=base_value, meta=meta)
 
 
@@ -111,10 +136,6 @@ def kernel_weight(n: int, s: int) -> float:
     if not 1 <= s <= n - 1:
         raise ValueError(f"interior coalition size {s} out of range for n={n}")
     return (n - 1) / (math.comb(n, s) * s * (n - s))
-
-
-def _background_array(background) -> np.ndarray:
-    return np.asarray(getattr(background, "vectors", background), dtype=float)
 
 
 def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: int,
@@ -150,29 +171,12 @@ def _coalition_means(
     mean_value_fn=None,
     values_fn: ValuesFn | None = None,
 ) -> np.ndarray:
-    """Background mean of v(S, b) for each coalition row of the (c, n) boolean `visible`.
-
-    `distinct` and `inverse` are the background's `masking.distinct_rows`. Uses
-    `values_fn` (or the lifted `value_fn`) over chunks of coalitions tiled
-    over the distinct rows, each within MASK_BUDGET_BYTES of rows, and reads
-    the values back in background order before the mean; without
-    `values_fn`, a given `mean_value_fn` is called once per coalition.
-    """
+    """Background mean of v(S, b) for each coalition row of the (c, n) boolean
+    `visible`: one `mean_value_fn` call per coalition if given without
+    `values_fn`, else `masking.coalition_means` over `values_fn` or `value_fn`."""
     if values_fn is None and mean_value_fn is not None:
         return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in visible])
-    evaluate = _batched(value_fn, values_fn)
-    k, n = distinct.shape
-    out = np.empty(len(visible))
-    step = chunk_size(k * n * 8)
-    for lo in range(0, len(visible), step):
-        vis = visible[lo:lo + step]
-        c = len(vis)
-        vals = evaluate(np.repeat(vis, k, axis=0), np.tile(distinct, (c, 1))).reshape(c, k)
-        # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
-        # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
-        # and sums in another order.
-        out[lo:lo + c] = np.take(vals, inverse, axis=1).mean(axis=1)
-    return out
+    return coalition_means(_batched(value_fn, values_fn), visible, distinct, inverse)
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -197,7 +201,7 @@ def exact_shapley(
     """
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
-    B = _background_array(background)
+    B = background_array(background)
     distinct, inverse = distinct_rows(B)
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
@@ -237,7 +241,7 @@ def permutation_shapley(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    B = _background_array(background)
+    B = background_array(background)
     evaluate = _batched(value_fn, values_fn)
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
@@ -343,7 +347,7 @@ def kernel_shap(
     """
     if n_samples < 2:
         raise ValueError(f"kernel estimator needs n_samples >= 2, got {n_samples}")
-    B = _background_array(background)
+    B = background_array(background)
     distinct, inverse = distinct_rows(B)
 
     def means(visible):
@@ -396,7 +400,7 @@ def rankingshap_explain(
     A single document gets the all-zero attribution with base 1.0, and its
     `objective` may be None.
     """
-    B = _background_array(background)
+    B = background_array(background)
     if len(group) == 1:
         # A single document makes every objective constant: all values are 0.
         meta = estimator_meta(cfg.kind, 0, len(B), cfg.seed, objective="constant:m=1",
@@ -438,7 +442,7 @@ def pointwise_shap_explain(
     top_docs: int = 5,
 ) -> Attribution:
     """Mean of the pointwise score attributions of the top-ranked documents."""
-    B = _background_array(background)
+    B = background_array(background)
     order = reference_ranking(group, scorer)
     take = min(top_docs, len(group))
     values = np.zeros(group.n)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import Attribution, _background_array, estimator_meta
+from .attribution import Attribution, estimator_meta
 from .data import BackgroundSet, QueryGroup
 from .objectives import ListwiseGame, ListwiseObjective
 from .rankers import Scorer
@@ -21,6 +21,8 @@ class GreedyResult:
     attributions_iter holds each feature's marginal contribution at the moment
     it was added; attributions_marg holds its leave-one-out contribution with
     respect to the final selection. Unselected features are 0 in both.
+    evaluations counts the coalitions passed to `means`: 1 + sum(n - t) over
+    the steps t taken, plus one leave-one-out coalition per selected feature.
     """
 
     selection_order: list[int]
@@ -30,7 +32,7 @@ class GreedyResult:
 
 
 def greedy_select(
-    vtilde,
+    means,
     n: int,
     k,
     *,
@@ -38,51 +40,44 @@ def greedy_select(
 ) -> GreedyResult:
     """Iteratively add the feature with the largest marginal gain to ṽ.
 
-    `k` is the target selection size or FULL to add every feature. With
-    stop_on_negative, selection also stops once every remaining feature has a
-    negative marginal contribution. Argmax ties break to the lowest index.
+    `means` gives ṽ for (c, n) boolean rows of visible features, as
+    `ListwiseGame.means` does; each step makes one call. `k` is the target
+    selection size or FULL to add every feature. With stop_on_negative,
+    selection also stops once every remaining feature has a negative marginal
+    contribution. Argmax ties break to the lowest index.
     """
     if k == FULL:
         k = n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}] or FULL, got {k}")
-    cache: dict[tuple[int, ...], float] = {}
-    calls = 0
-
-    def v(sel: tuple[int, ...]) -> float:
-        nonlocal calls
-        if sel not in cache:
-            cache[sel] = vtilde(sel)
-            calls += 1
-        return cache[sel]
-
+    eye = np.eye(n, dtype=bool)
+    visible = np.zeros(n, dtype=bool)
     selected: list[int] = []
     iter_attr = np.zeros(n)
-    current = v(())
+    current = means(visible[None, :])[0]
+    evaluations = 1
     while len(selected) < k:
-        best_gain, best_feat = None, None
-        for i in range(n):
-            if i in selected:
-                continue
-            gain = v(tuple(sorted(selected + [i]))) - current
-            if best_gain is None or gain > best_gain:
-                best_gain, best_feat = gain, i
-        if stop_on_negative and best_gain < 0:
+        candidates = np.flatnonzero(~visible)
+        vals = means(visible | eye[candidates])
+        evaluations += len(candidates)
+        gains = vals - current
+        best = int(np.argmax(gains))
+        if stop_on_negative and gains[best] < 0:
             break
-        selected.append(best_feat)
-        iter_attr[best_feat] = best_gain
-        current = v(tuple(sorted(selected)))
+        feat = int(candidates[best])
+        selected.append(feat)
+        visible[feat] = True
+        iter_attr[feat] = gains[best]
+        current = vals[best]
 
     marg_attr = np.zeros(n)
-    final = tuple(sorted(selected))
-    v_final = v(final)
-    for i in selected:
-        marg_attr[i] = v_final - v(tuple(j for j in final if j != i))
+    marg_attr[selected] = current - means(visible & ~eye[selected])
+    evaluations += len(selected)
     return GreedyResult(
         selection_order=selected,
         attributions_iter=iter_attr,
         attributions_marg=marg_attr,
-        evaluations=calls,
+        evaluations=evaluations,
     )
 
 
@@ -95,9 +90,9 @@ def greedy_attribution(
     *,
     stop_on_negative: bool = False,
 ) -> GreedyResult:
-    """Greedy feature selection on the listwise value function."""
-    game = ListwiseGame(group, scorer, objective, _background_array(background))
-    return greedy_select(game.mean_value, game.n, k, stop_on_negative=stop_on_negative)
+    """Greedy feature selection on the listwise game's background means."""
+    game = ListwiseGame(group, scorer, objective, background)
+    return greedy_select(game.means, game.n, k, stop_on_negative=stop_on_negative)
 
 
 def random_attribution(n: int, seed: int) -> Attribution:

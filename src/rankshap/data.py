@@ -75,6 +75,11 @@ class BackgroundSet:
         return self.vectors.shape[1]
 
 
+def background_array(background: BackgroundSet | np.ndarray) -> np.ndarray:
+    """The float rows of a BackgroundSet or of a plain 2-d array."""
+    return np.asarray(getattr(background, "vectors", background), dtype=float)
+
+
 def _parse_line(line: str, line_no: int) -> tuple[int, str, dict[int, float]]:
     body = line.split("#", 1)[0].strip()
     tokens = body.split()

@@ -13,7 +13,6 @@ import numpy as np
 from .attribution import (
     Attribution,
     EstimatorConfig,
-    _background_array,
     estimator_meta,
     exact_shapley,
     permutation_shapley,
@@ -21,7 +20,7 @@ from .attribution import (
     rankingshap_explain,
 )
 from .baselines import greedy_attribution, random_attribution
-from .data import BackgroundSet, QueryGroup, sample_background
+from .data import BackgroundSet, QueryGroup, background_array, sample_background
 from .errors import DimensionError
 from .objectives import ListwiseGame, ListwiseObjective, make_objective, reference_ranking
 from .rankers import Scorer
@@ -60,11 +59,11 @@ def estimate_ground_truth(
     if runs < 2:
         raise ValueError(f"need at least 2 runs for a std estimate, got {runs}")
     if len(group) == 1:
-        meta = estimator_meta("ground-truth", 0, len(_background_array(background)), seed,
+        meta = estimator_meta("ground-truth", 0, len(background_array(background)), seed,
                               runs=0, objective="constant:m=1")
         zero = Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
         return GroundTruth(zero, [], np.zeros(group.n), n_samples=0, runs=0)
-    game = ListwiseGame(group, scorer, objective, _background_array(background))
+    game = ListwiseGame(group, scorer, objective, background)
     per_run = [
         permutation_shapley(
             game.value, game.n, background, n_samples, run_seed, values_fn=game.values
@@ -121,7 +120,7 @@ def stability_curve(
         raise ValueError("sample_sizes must be non-empty")
     if len(group) == 1:
         return [StabilityRow(n, 0.0, 0.0) for n in sample_sizes]
-    pool = _background_array(background_pool)
+    pool = background_array(background_pool)
     size = background_size or len(pool)
     rows = []
     for n_samples in sample_sizes:

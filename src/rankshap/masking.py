@@ -39,6 +39,24 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first[order]], position[inverse.ravel()]
 
 
+def coalition_means(values, visible, distinct, inverse) -> np.ndarray:
+    """Background mean of `values(visible, rows)` per row of the (c, n) boolean
+    `visible`, tiled over the background's `distinct_rows` in chunks within
+    MASK_BUDGET_BYTES of rows and read back in background order."""
+    k, n = distinct.shape
+    out = np.empty(len(visible))
+    step = chunk_size(k * n * 8)
+    for lo in range(0, len(visible), step):
+        vis = visible[lo:lo + step]
+        c = len(vis)
+        vals = values(np.repeat(vis, k, axis=0), np.tile(distinct, (c, 1))).reshape(c, k)
+        # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
+        # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
+        # and sums in another order.
+        out[lo:lo + c] = np.take(vals, inverse, axis=1).mean(axis=1)
+    return out
+
+
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:
     """Template with bit 0 at each visible feature index, 1 elsewhere."""
     bits = np.ones(n, dtype=np.uint8)

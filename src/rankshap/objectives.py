@@ -11,9 +11,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import BackgroundSet, QueryGroup
+from .data import BackgroundSet, QueryGroup, background_array
 from .errors import DimensionError
-from .masking import chunk_size, coalition_to_template, distinct_rows
+from .masking import chunk_size, coalition_means, coalition_to_template, distinct_rows
 from .rankers import Scorer, rank, rank_many
 
 
@@ -170,9 +170,9 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
 class ListwiseGame:
     """Coalition game for one query: v(S, b) evaluated in batches by `values`.
 
-    `value` and `mean_value` wrap `values` for one coalition; `mean_value`
-    evaluates each distinct background row once, in one scorer batch, and
-    averages the values over the whole background.
+    `means` (many coalitions) and `mean_value` (one, in one scorer batch)
+    evaluate each distinct background row once and average the values over
+    the whole background; `value` wraps `values` for one coalition and row.
     """
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
@@ -180,7 +180,7 @@ class ListwiseGame:
         self.X = group.feature_matrix()
         self.scorer = scorer
         self.objective = objective
-        self.background = np.asarray(getattr(background, "vectors", background), dtype=float)
+        self.background = background_array(background)
         if self.background.shape[1] != self.X.shape[1]:
             raise DimensionError(
                 f"background dim {self.background.shape[1]} != feature dim {self.X.shape[1]}"
@@ -217,6 +217,10 @@ class ListwiseGame:
 
     def value(self, visible, b: np.ndarray) -> float:
         return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
+
+    def means(self, visible: np.ndarray) -> np.ndarray:
+        """Background mean of v(S, .) for each row of the (c, n) boolean `visible`."""
+        return coalition_means(self.values, visible, self._distinct, self._inverse)
 
     def mean_value(self, visible) -> float:
         return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())

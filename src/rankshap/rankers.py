@@ -88,7 +88,12 @@ def load_scorer(source) -> Scorer:
     elif isinstance(source, (str, Path)):
         if not Path(source).is_file():
             raise FileNotFoundError(f"scorer file not found: {source}")
-        cfg = json.loads(Path(source).read_text())
+        try:
+            cfg = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"scorer file {source} is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"scorer file {source} must hold a JSON object")
     else:
         cfg = dict(source)
     kind = cfg.get("kind")

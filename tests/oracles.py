@@ -1,13 +1,14 @@
 """Scalar reference implementations of listwise masking, the objectives, the
-kernel SHAP coalition draw and the talent-search model.
+kernel SHAP coalition draw, greedy selection and the talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
 distinct background rows only, the kernel design as boolean rows
-(`attribution._kernel_design`), and the talent model only in
+(`attribution._kernel_design`), greedy selection one batch of candidates per
+step (`baselines.greedy_select`), and the talent model only in
 `TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
-one-row, one-candidate forms are kept here as independent oracles for the
-tests.
+one-row, one-coalition, one-candidate forms are kept here as independent
+oracles for the tests.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from typing import Iterable
 import numpy as np
 
 from rankshap import (
+    FULL,
     DimensionError,
     Document,
+    GreedyResult,
     QueryGroup,
     TalentCandidate,
     University,
@@ -179,6 +182,60 @@ def kernel_design(n: int, n_samples: int, seed: int) -> tuple[list[int], list[fl
             counts[comp] = counts.get(comp, 0.0) + 1.0
             drawn += 1
     return list(counts), list(counts.values()), 2 + len(counts)
+
+
+def greedy_select(
+    vtilde,
+    n: int,
+    k,
+    *,
+    stop_on_negative: bool = False,
+) -> GreedyResult:
+    """Greedy selection one coalition at a time: `vtilde` takes a sorted tuple
+    of visible features, each distinct coalition is evaluated once, and
+    `evaluations` counts the distinct coalitions."""
+    if k == FULL:
+        k = n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}] or FULL, got {k}")
+    cache: dict[tuple[int, ...], float] = {}
+    calls = 0
+
+    def v(sel: tuple[int, ...]) -> float:
+        nonlocal calls
+        if sel not in cache:
+            cache[sel] = vtilde(sel)
+            calls += 1
+        return cache[sel]
+
+    selected: list[int] = []
+    iter_attr = np.zeros(n)
+    current = v(())
+    while len(selected) < k:
+        best_gain, best_feat = None, None
+        for i in range(n):
+            if i in selected:
+                continue
+            gain = v(tuple(sorted(selected + [i]))) - current
+            if best_gain is None or gain > best_gain:
+                best_gain, best_feat = gain, i
+        if stop_on_negative and best_gain < 0:
+            break
+        selected.append(best_feat)
+        iter_attr[best_feat] = best_gain
+        current = v(tuple(sorted(selected)))
+
+    marg_attr = np.zeros(n)
+    final = tuple(sorted(selected))
+    v_final = v(final)
+    for i in selected:
+        marg_attr[i] = v_final - v(tuple(j for j in final if j != i))
+    return GreedyResult(
+        selection_order=selected,
+        attributions_iter=iter_attr,
+        attributions_marg=marg_attr,
+        evaluations=calls,
+    )
 
 
 def norm_grade(grade: float, scheme: UniversityScheme) -> float:

@@ -16,6 +16,11 @@ def counting(vtilde):
     return wrapped, calls
 
 
+def lift(vtilde):
+    """`greedy_select`'s batched form of a scalar ṽ over sorted index tuples."""
+    return lambda visible: np.array([vtilde(tuple(np.flatnonzero(v).tolist())) for v in visible])
+
+
 def additive(c):
     c = np.asarray(c, dtype=float)
     return lambda sel: float(sum(c[i] for i in sel))
@@ -24,25 +29,27 @@ def additive(c):
 class TestGreedySelect:
     def test_additive_game_selects_largest(self):
         c = [0.1, 0.9, 0.4, 0.7]
-        result = greedy_select(additive(c), 4, k=2)
+        result = greedy_select(lift(additive(c)), 4, k=2)
         assert result.selection_order == [1, 3]
         np.testing.assert_allclose(result.attributions_iter, [0, 0.9, 0, 0.7])
         np.testing.assert_allclose(result.attributions_marg, [0, 0.9, 0, 0.7])
 
     def test_constant_game_negative_stop_selects_nothing(self):
-        result = greedy_select(lambda sel: 1.0, 4, k=2, stop_on_negative=False)
+        result = greedy_select(lift(lambda sel: 1.0), 4, k=2, stop_on_negative=False)
         assert len(result.selection_order) == 2  # zero marginals still count
-        result = greedy_select(lambda sel: -float(len(sel)), 4, k=2, stop_on_negative=True)
+        result = greedy_select(
+            lift(lambda sel: -float(len(sel))), 4, k=2, stop_on_negative=True
+        )
         assert result.selection_order == []
         np.testing.assert_array_equal(result.attributions_iter, np.zeros(4))
         np.testing.assert_array_equal(result.attributions_marg, np.zeros(4))
 
     def test_full_variant_selects_all(self):
-        result = greedy_select(additive([-1.0, 2.0, -3.0]), 3, k=FULL)
+        result = greedy_select(lift(additive([-1.0, 2.0, -3.0])), 3, k=FULL)
         assert sorted(result.selection_order) == [0, 1, 2]
 
     def test_tie_break_lowest_index(self):
-        result = greedy_select(additive([0.5, 0.5, 0.1]), 3, k=1)
+        result = greedy_select(lift(additive([0.5, 0.5, 0.1])), 3, k=1)
         assert result.selection_order == [0]
 
     def test_iter_attributions_telescope(self, rng):
@@ -51,7 +58,7 @@ class TestGreedySelect:
         def vtilde(sel):
             return float(table[sum(1 << i for i in sel)])
 
-        result = greedy_select(vtilde, 5, k=3)
+        result = greedy_select(lift(vtilde), 5, k=3)
         final = tuple(sorted(result.selection_order))
         assert result.attributions_iter.sum() == pytest.approx(
             vtilde(final) - vtilde(()), abs=1e-12
@@ -61,13 +68,13 @@ class TestGreedySelect:
         n, k = 7, 4
         table = rng.normal(size=1 << n)
         vtilde, calls = counting(lambda sel: float(table[sum(1 << i for i in sel)]))
-        greedy_select(vtilde, n, k=k)
+        greedy_select(lift(vtilde), n, k=k)
         bound = 1 + sum(n - j for j in range(k)) + k
         assert calls["n"] <= bound
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            greedy_select(lambda sel: 0.0, 3, k=0)
+            greedy_select(lift(lambda sel: 0.0), 3, k=0)
 
 
 def test_greedy_attribution_on_listwise_game():

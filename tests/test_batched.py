@@ -5,9 +5,11 @@ chunks of MASK_BUDGET_BYTES. The exact and permutation estimators fed by it
 must match, bit for bit, the same estimators fed by `game.value` and
 `game.mean_value` one coalition at a time, for every chunking; so must the
 kernel estimator fed by `game.value` alone, and the pointwise kernel, which
-evaluates its coalitions through `_PointwiseGame.values`. Background means
-evaluate each distinct background row once; with repeated rows they must
-match a mean that evaluates every row.
+evaluates its coalitions through `_PointwiseGame.values`. Greedy selection,
+which evaluates each step's candidates in one `ListwiseGame.means` call, must
+walk as the one-coalition oracle does. Background means evaluate each
+distinct background row once; with repeated rows they must match a mean that
+evaluates every row.
 """
 
 import math
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import InteractionScorer, make_group
 from rankshap import (
+    FULL,
     BackgroundSet,
     EstimatorConfig,
     KendallTauObjective,
@@ -36,7 +39,6 @@ from rankshap import (
 )
 from rankshap import attribution, masking
 from rankshap.attribution import _PointwiseGame, exact_shapley, kernel_shap, permutation_shapley
-from rankshap.baselines import greedy_select
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
 
@@ -65,12 +67,17 @@ def make_scorer(rng, n, interaction):
     return LinearScorer(w)
 
 
-def make_game(n, m, bsize, seed, interaction):
+def make_instance(n, m, bsize, seed, interaction):
     rng = np.random.default_rng(seed)
     group = make_group(rng.normal(size=(m, n)))
     scorer = make_scorer(rng, n, interaction)
     background = BackgroundSet(rng.normal(size=(bsize, n)), seed=seed)
     objective = KendallTauObjective(reference_ranking(group, scorer))
+    return group, scorer, objective, background
+
+
+def make_game(n, m, bsize, seed, interaction):
+    group, scorer, objective, background = make_instance(n, m, bsize, seed, interaction)
     return ListwiseGame(group, scorer, objective, background), background
 
 
@@ -207,6 +214,38 @@ def test_values_chunks_whole_background_batches():
         chunked = game.values(visible, rows)
     assert [c.args[0].shape[0] for c in score.call_args_list] == [12, 12, 12, 6]
     assert chunked.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stop_on_negative=st.booleans(), **shapes)
+@example(data=None, stop_on_negative=False, n=6, m=5, bsize=4, seed=3, interaction=False,
+         budget=masking.MASK_BUDGET_BYTES)
+def test_greedy_batched_matches_scalar_walk(
+    data, stop_on_negative, n, m, bsize, seed, interaction, budget
+):
+    group, scorer, objective, background = make_instance(n, m, bsize, seed, interaction)
+    k = FULL if data is None else data.draw(st.sampled_from([FULL, *range(1, n + 1)]))
+    game = ListwiseGame(group, scorer, objective, background)
+    expected = oracles.greedy_select(game.mean_value, n, k, stop_on_negative=stop_on_negative)
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
+        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
+    ) as values:
+        result = greedy_attribution(
+            group, scorer, objective, background, k, stop_on_negative=stop_on_negative
+        )
+    selected = result.selection_order
+    assert selected == expected.selection_order
+    assert result.attributions_iter.tobytes() == expected.attributions_iter.tobytes()
+    assert result.attributions_marg.tobytes() == expected.attributions_marg.tobytes()
+    # A step that stops on a negative gain still evaluated its candidates.
+    steps = len(selected) + (len(selected) < (n if k == FULL else k))
+    assert result.evaluations == 1 + sum(n - t for t in range(steps)) + len(selected)
+    # The oracle evaluates each coalition once; up to two leave-one-out
+    # coalitions of the marginal batch were already candidates of a step.
+    assert result.evaluations == expected.evaluations + min(len(selected), 2)
+    if budget == masking.MASK_BUDGET_BYTES:
+        # The empty coalition, one call per step, and the marginal batch.
+        assert values.call_count == 1 + steps + (len(selected) > 0)
 
 
 def make_pointwise_instance(n, m, bsize, seed, talent):
@@ -352,7 +391,7 @@ def test_repeated_background_rows_match_full_evaluation(seed, interaction):
     assert attr.values.tobytes() == (pointwise / 5).tobytes()
 
     greedy = greedy_attribution(group, scorer, objective, background, 3)
-    expected = greedy_select(listwise, n, 3)
+    expected = oracles.greedy_select(listwise, n, 3)
     assert greedy.selection_order == expected.selection_order
     assert greedy.attributions_iter.tobytes() == expected.attributions_iter.tobytes()
     assert greedy.attributions_marg.tobytes() == expected.attributions_marg.tobytes()

@@ -226,6 +226,54 @@ def test_evaluate_gt_file_bad_feature_index_exit_2(tmp_path, capsys, indices):
     assert "gt.csv: feature_index" in capsys.readouterr().err
 
 
+GOOD_CSV = "feature_index,phi\n0,0.5\n1,0.25\n"
+
+
+@pytest.mark.parametrize("bad", ["gt", "pred"])
+@pytest.mark.parametrize("csv_text, sidecar, message", [
+    ("index,value\n0,0.5\n1,0.25\n", None, "header must name feature_index and phi"),
+    ("feature_index,phi\n0,0.5\n1\n", None, "phi None on line 3 is not a finite number"),
+    ("feature_index,phi\n", None, "no attribution rows"),
+    ("feature_index,phi\n0,0.5\n1.0,0.25\n", None, "feature_index '1.0' on line 3 is not"),
+    ("feature_index,phi\n0,abc\n1,0.25\n", None, "phi 'abc' on line 2 is not a finite"),
+    ("feature_index,phi\n0,0.5\n1,inf\n", None, "phi 'inf' on line 3 is not a finite"),
+    ("feature_index,phi\n0,0.5,7\n1,0.25\n", None, "line 2 has more fields than the header"),
+    (GOOD_CSV, "[1]", ".json: expected a JSON object"),
+    (GOOD_CSV, "{", ".json: invalid JSON"),
+    (GOOD_CSV, '{"base_value": "x"}', ".json: base_value 'x' is not a finite number"),
+], ids=["header", "no-phi", "no-rows", "float-index", "text-phi", "inf-phi", "extra-field",
+        "list-sidecar", "bad-sidecar", "text-base-value"])
+def test_evaluate_malformed_attribution_file_exit_2(tmp_path, capsys, bad, csv_text, sidecar,
+                                                    message):
+    files = {name: tmp_path / f"{name}.csv" for name in ("gt", "pred")}
+    for name, path in files.items():
+        path.write_text(csv_text if name == bad else GOOD_CSV)
+    if sidecar is not None:
+        files[bad].with_suffix(".json").write_text(sidecar)
+    out = tmp_path / "r.csv"
+    code = main(["evaluate", "--gt-file", str(files["gt"]), "--pred", str(files["pred"]),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / bad) in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "must hold a JSON object"), ('"x"', "must hold a JSON object"),
+    ("3", "must hold a JSON object"), ('{"kind": "linear"', "is not valid JSON"),
+])
+def test_scorer_file_not_a_json_object_exit_2(workspace, capsys, content, message):
+    tmp, data, _ = workspace
+    scorer = tmp / "list.json"
+    scorer.write_text(content)
+    out = tmp / "o"
+    code = main(["explain", "--data", str(data), "--scorer", str(scorer), "--out", str(out)])
+    assert code == 2
+    assert f"scorer file {scorer} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scorer_file_exit_2(workspace, capsys):
     tmp, data, _ = workspace
     code = main([
