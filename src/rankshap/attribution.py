@@ -1,10 +1,14 @@
 """Shapley attribution estimators over coalition games.
 
-Estimators work on a value function v(S, b) where S is the set of visible
-feature indices and b one background vector; expectations over the background
-set are always full means, so the exact estimator is deterministic. All three
-estimators also take the batched form `values_fn(visible, rows)`, a game's
-`values`, and evaluate their coalitions in chunks through it.
+Estimators take a value function v(S, b), where S is the set of visible
+feature indices and b one background vector. Expectations over the background
+set are always full means, so the exact estimator is deterministic.
+
+All three estimators evaluate their coalitions in chunks through a batched
+`values(visible, rows)`. When `value_fn` is the bound `value` of a game that
+also has `values`, that is the game's `values`; any other `value_fn` is
+lifted to it one coalition at a time. A `mean_value_fn(S)` given to the exact
+or kernel estimator is called once per coalition instead.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ("exact", "permutation", "kernel"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        if self.kind == "kernel" and self.n_samples < 2:
+            raise ValueError(f"kernel estimator needs n_samples >= 2, got {self.n_samples}")
+        if self.kind == "permutation" and self.n_samples < 1:
+            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
 
 @dataclass
@@ -150,10 +158,12 @@ def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: i
     }
 
 
-def _batched(value_fn: ValueFn, values_fn: ValuesFn | None) -> ValuesFn:
-    """`values_fn`, or the scalar `value_fn` lifted to values(visible, rows)."""
-    if values_fn is not None:
-        return values_fn
+def _batched(value_fn: ValueFn) -> ValuesFn:
+    """The `values` of the game whose bound `value` is `value_fn`, else the
+    scalar `value_fn` lifted to values(visible, rows)."""
+    game = getattr(value_fn, "__self__", None)
+    if hasattr(game, "values") and value_fn == getattr(game, "value", None):
+        return game.values
 
     def values(visible, rows):
         return np.array(
@@ -169,20 +179,13 @@ def _coalition_means(
     inverse: np.ndarray,
     value_fn: ValueFn,
     mean_value_fn=None,
-    values_fn: ValuesFn | None = None,
 ) -> np.ndarray:
     """Background mean of v(S, b) for each coalition row of the (c, n) boolean
-    `visible`: one `mean_value_fn` call per coalition if given without
-    `values_fn`, else `masking.coalition_means` over `values_fn` or `value_fn`."""
-    if values_fn is None and mean_value_fn is not None:
+    `visible`: one `mean_value_fn` call per coalition if given, else
+    `masking.coalition_means` over `_batched(value_fn)`."""
+    if mean_value_fn is not None:
         return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in visible])
-    return coalition_means(_batched(value_fn, values_fn), visible, distinct, inverse)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    a = a - ((a >> 1) & 0x55555555)
-    a = (a & 0x33333333) + ((a >> 2) & 0x33333333)
-    return (((a + (a >> 4)) & 0x0F0F0F0F) * 0x01010101) >> 24
+    return coalition_means(_batched(value_fn), visible, distinct, inverse)
 
 
 def exact_shapley(
@@ -191,14 +194,8 @@ def exact_shapley(
     background,
     *,
     mean_value_fn=None,
-    values_fn: ValuesFn | None = None,
 ) -> Attribution:
-    """Exact Shapley values by full coalition enumeration (2^n evaluations).
-
-    Coalition means come from `values_fn` over each chunk of coalitions tiled
-    over the distinct background rows, else from `mean_value_fn`, else from
-    `value_fn`.
-    """
+    """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
     B = background_array(background)
@@ -206,13 +203,12 @@ def exact_shapley(
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     V = np.empty(1 << n)
+    sizes = np.empty(1 << n, dtype=np.intp)
     step = chunk_size(len(distinct) * n * 8)
     for lo in range(0, 1 << n, step):
-        chunk = masks[lo:lo + step]
-        V[lo:lo + len(chunk)] = _coalition_means(
-            (chunk[:, None] & bits) != 0, distinct, inverse, value_fn, mean_value_fn, values_fn
-        )
-    sizes = _popcount(masks)
+        rows = (masks[lo:lo + step, None] & bits) != 0
+        sizes[lo:lo + len(rows)] = rows.sum(axis=1)
+        V[lo:lo + len(rows)] = _coalition_means(rows, distinct, inverse, value_fn, mean_value_fn)
     w = np.array([shapley_weight(n, s) for s in range(n)])
     values = np.empty(n)
     for i in range(n):
@@ -228,8 +224,6 @@ def permutation_shapley(
     background,
     n_samples: int,
     seed: int,
-    *,
-    values_fn: ValuesFn | None = None,
 ) -> Attribution:
     """Monte Carlo Shapley estimation by sampled feature permutations.
 
@@ -242,7 +236,7 @@ def permutation_shapley(
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     B = background_array(background)
-    evaluate = _batched(value_fn, values_fn)
+    evaluate = _batched(value_fn)
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
     base_sum = 0.0
@@ -291,8 +285,9 @@ def _kernel_design(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.nd
 
     The design depends only on its arguments, so the latest one is kept for
     the pointwise top documents and queries that share a config. Full
-    enumeration lists masks in ascending order; a repeated draw adds weight
-    to the row of its first draw.
+    enumeration lists masks in ascending order. Sampling draws each coalition
+    followed by its complement; a repeated draw adds weight to the row of its
+    first draw.
     """
     if n_samples >= (1 << n):
         masks = np.arange(1, (1 << n) - 1, dtype=np.uint64)
@@ -306,23 +301,14 @@ def _kernel_design(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.nd
         p = (n - 1) / (sizes * (n - sizes))
         p /= p.sum()
         budget = n_samples - 2
-        # Coalitions are keyed by their row's bytes, in first-seen order.
-        counts: dict[bytes, float] = {}
-        drawn = 0
-        while drawn < budget:
+        draws = np.zeros((budget, n), dtype=bool)
+        for row in draws[::2]:
             s = int(rng.choice(sizes, p=p))
-            row = np.zeros(n, dtype=bool)
             row[rng.choice(n, size=s, replace=False)] = True
-            key = row.tobytes()
-            counts[key] = counts.get(key, 0.0) + 1.0
-            drawn += 1
-            if drawn < budget:
-                comp = (~row).tobytes()
-                counts[comp] = counts.get(comp, 0.0) + 1.0
-                drawn += 1
-        rows = np.frombuffer(b"".join(counts), dtype=bool).reshape(len(counts), n)
-        weights = np.array(list(counts.values()))
-        evaluations = 2 + len(counts)
+        draws[1::2] = ~draws[::2][:budget // 2]
+        rows, inverse = distinct_rows(draws)
+        weights = np.bincount(inverse).astype(float)
+        evaluations = 2 + len(rows)
     rows.flags.writeable = False
     weights.flags.writeable = False
     return rows, weights, evaluations
@@ -336,7 +322,6 @@ def kernel_shap(
     seed: int,
     *,
     mean_value_fn=None,
-    values_fn: ValuesFn | None = None,
 ) -> Attribution:
     """Shapley values by kernel-weighted least squares over sampled coalitions.
 
@@ -351,7 +336,7 @@ def kernel_shap(
     distinct, inverse = distinct_rows(B)
 
     def means(visible):
-        return _coalition_means(visible, distinct, inverse, value_fn, mean_value_fn, values_fn)
+        return _coalition_means(visible, distinct, inverse, value_fn, mean_value_fn)
 
     base, v_full = means(np.array([[False] * n, [True] * n])).tolist()
     delta = v_full - base
@@ -375,16 +360,13 @@ def kernel_shap(
 
 def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
     if cfg.kind == "exact":
-        return exact_shapley(game.value, game.n, background, values_fn=game.values)
+        return exact_shapley(game.value, game.n, background)
     if cfg.kind == "permutation":
-        return permutation_shapley(
-            game.value, game.n, background, cfg.n_samples, cfg.seed, values_fn=game.values
-        )
+        return permutation_shapley(game.value, game.n, background, cfg.n_samples, cfg.seed)
     # The listwise kernel stays on mean_value: perfbench counts its game calls only there.
-    values_fn = None if isinstance(game, ListwiseGame) else game.values
+    mean_value_fn = game.mean_value if isinstance(game, ListwiseGame) else None
     return kernel_shap(
-        game.value, game.n, background, cfg.n_samples, cfg.seed,
-        mean_value_fn=game.mean_value, values_fn=values_fn,
+        game.value, game.n, background, cfg.n_samples, cfg.seed, mean_value_fn=mean_value_fn
     )
 
 

@@ -65,9 +65,7 @@ def estimate_ground_truth(
         return GroundTruth(zero, [], np.zeros(group.n), n_samples=0, runs=0)
     game = ListwiseGame(group, scorer, objective, background)
     per_run = [
-        permutation_shapley(
-            game.value, game.n, background, n_samples, run_seed, values_fn=game.values
-        )
+        permutation_shapley(game.value, game.n, background, n_samples, run_seed)
         for run_seed in _spawn_seeds(seed, runs)
     ]
     stacked = np.stack([a.values for a in per_run])
@@ -109,7 +107,9 @@ def stability_curve(
     """Cross-run attribution std as a function of the sampling budget.
 
     same_background reuses one background set for all runs; independent_background
-    draws a fresh background of `background_size` vectors from the pool per run.
+    draws a fresh background of `background_size` vectors from the pool per run,
+    with replacement when it exceeds the pool. `background_size` defaults to
+    the whole pool; same_background takes the pool's first `background_size` rows.
     A single document's std is 0 at every size, and `objective` may be None.
     """
     if runs < 2:
@@ -118,10 +118,14 @@ def stability_curve(
         raise ValueError(f"unknown mode {mode!r}")
     if not sample_sizes:
         raise ValueError("sample_sizes must be non-empty")
+    pool = background_array(background_pool)
+    size = len(pool) if background_size is None else background_size
+    if size < 1:
+        raise ValueError(f"background_size must be at least 1, got {size}")
+    if mode == "same_background" and size > len(pool):
+        raise ValueError(f"background_size {size} exceeds the pool of {len(pool)} rows")
     if len(group) == 1:
         return [StabilityRow(n, 0.0, 0.0) for n in sample_sizes]
-    pool = background_array(background_pool)
-    size = background_size or len(pool)
     rows = []
     for n_samples in sample_sizes:
         run_values = []
@@ -134,9 +138,7 @@ def stability_curve(
             else:
                 background = pool[:size]
             game = ListwiseGame(group, scorer, objective, background)
-            attr = permutation_shapley(
-                game.value, game.n, background, n_samples, run_seed, values_fn=game.values
-            )
+            attr = permutation_shapley(game.value, game.n, background, n_samples, run_seed)
             run_values.append(attr.values)
         stacked = np.stack(run_values)
         std = stacked.std(axis=0, ddof=1)
@@ -328,7 +330,7 @@ def run_benchmark(
         objective = make_objective(objective_spec, reference_ranking(group, scorer))
         game = ListwiseGame(group, scorer, objective, background)
         if gt_source == "exact":
-            gt = exact_shapley(game.value, game.n, background, values_fn=game.values).values
+            gt = exact_shapley(game.value, game.n, background).values
         else:
             gt = estimate_ground_truth(
                 group, scorer, objective, background, gt_n_samples, gt_runs, qseed

@@ -3,12 +3,12 @@ kernel SHAP coalition draw, greedy selection and the talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
-distinct background rows only, the kernel design as boolean rows
-(`attribution._kernel_design`), greedy selection one batch of candidates per
-step (`baselines.greedy_select`), and the talent model only in
-`TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
-one-row, one-coalition, one-candidate forms are kept here as independent
-oracles for the tests.
+distinct background rows only, the kernel design as boolean rows merged by
+`masking.distinct_rows` (`attribution._kernel_design`), greedy selection one
+batch of candidates per step (`baselines.greedy_select`), and the talent
+model only in `TalentScorer.score_batch`. These one-list, one-permutation,
+one-mask, one-row, one-coalition, one-draw, one-candidate forms are kept here
+as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -182,6 +182,33 @@ def kernel_design(n: int, n_samples: int, seed: int) -> tuple[list[int], list[fl
             counts[comp] = counts.get(comp, 0.0) + 1.0
             drawn += 1
     return list(counts), list(counts.values()), 2 + len(counts)
+
+
+def sampled_kernel_design(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sampled kernel SHAP coalitions, n >= 2 and n_samples < 2^n, merged one
+    draw at a time in a dict keyed by the row's bytes: the `(c, n)` boolean
+    rows in first-seen order, their float weights, and the coalitions
+    evaluated including the empty and full ones."""
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, n)
+    p = (n - 1) / (sizes * (n - sizes))
+    p /= p.sum()
+    budget = n_samples - 2
+    counts: dict[bytes, float] = {}
+    drawn = 0
+    while drawn < budget:
+        s = int(rng.choice(sizes, p=p))
+        row = np.zeros(n, dtype=bool)
+        row[rng.choice(n, size=s, replace=False)] = True
+        key = row.tobytes()
+        counts[key] = counts.get(key, 0.0) + 1.0
+        drawn += 1
+        if drawn < budget:
+            comp = (~row).tobytes()
+            counts[comp] = counts.get(comp, 0.0) + 1.0
+            drawn += 1
+    rows = np.frombuffer(b"".join(counts), dtype=bool).reshape(len(counts), n)
+    return rows, np.array(list(counts.values())), 2 + len(counts)
 
 
 def greedy_select(

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_shapley, make_group, make_linear_instance
-from oracles import kernel_design
+from oracles import kernel_design, sampled_kernel_design
 from rankshap import (
     Attribution,
     BackgroundSet,
@@ -116,7 +116,7 @@ class TestExactShapley:
             score_batch = never
 
         with pytest.raises(CapacityError, match="n <= 20"):
-            exact_shapley(never, 21, bg(21), mean_value_fn=never, values_fn=never)
+            exact_shapley(never, 21, bg(21), mean_value_fn=never)
         cfg = EstimatorConfig(kind="exact")
         group, _, objective, background = make_linear_instance(21, 3, seed=0)
         with pytest.raises(CapacityError, match="n <= 20"):
@@ -176,9 +176,7 @@ class TestPermutationShapley:
         exact = exact_shapley(game.value, 8, background, mean_value_fn=game.mean_value)
         runs = np.stack(
             [
-                permutation_shapley(
-                    game.value, 8, background, n_samples=4096, seed=s, values_fn=game.values
-                ).values
+                permutation_shapley(game.value, 8, background, n_samples=4096, seed=s).values
                 for s in range(20)
             ]
         )
@@ -254,6 +252,27 @@ class TestKernelDesign:
         assert rows.dtype == bool
         assert rows.tobytes() == mask_rows(masks, n).tobytes()
         assert weights.tobytes() == np.array(counts, dtype=float).tobytes()
+        assert evaluations == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 136), n_samples=st.integers(2, 600), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, n_samples=2, seed=0)
+    @example(n=2, n_samples=3, seed=1)
+    @example(n=3, n_samples=7, seed=2)
+    @example(n=46, n_samples=2, seed=3)
+    @example(n=46, n_samples=3, seed=4)
+    @example(n=46, n_samples=2 * 46 + 2048, seed=0)
+    @example(n=136, n_samples=2 * 136 + 2048, seed=0)
+    @example(n=136, n_samples=501, seed=5)
+    def test_sampled_draw_matches_bytes_keyed_merge(self, n, n_samples, seed):
+        # An odd budget n_samples - 2 ends on a draw without its complement.
+        n_samples = min(n_samples, (1 << n) - 1)
+        rows, weights, evaluations = _kernel_design.__wrapped__(n, n_samples, seed)
+        expected_rows, expected_weights, expected = sampled_kernel_design(n, n_samples, seed)
+        assert rows.dtype == expected_rows.dtype and rows.shape == expected_rows.shape
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert weights.dtype == expected_weights.dtype
+        assert weights.tobytes() == expected_weights.tobytes()
         assert evaluations == expected
 
     def test_arrays_are_read_only(self):

@@ -1,17 +1,21 @@
 """The batched game path gives bitwise the same results as the scalar path.
 
 `ListwiseGame.values` evaluates many coalitions per scorer call, cut into
-chunks of MASK_BUDGET_BYTES. The exact and permutation estimators fed by it
-must match, bit for bit, the same estimators fed by `game.value` and
-`game.mean_value` one coalition at a time, for every chunking; so must the
-kernel estimator fed by `game.value` alone, and the pointwise kernel, which
-evaluates its coalitions through `_PointwiseGame.values`. Greedy selection,
+chunks of MASK_BUDGET_BYTES. An estimator given the bound `game.value`
+evaluates through it; any other value function is lifted one coalition at a
+time, and a `mean_value_fn` is called once per coalition. The exact and
+permutation estimators fed by `game.value` must match, bit for bit, the same
+estimators fed by a wrapper of `game.value` or by `game.mean_value`, for
+every chunking; so must the kernel estimator fed by `game.value`, and the
+pointwise kernel, which evaluates its coalitions through
+`_PointwiseGame.values`. Greedy selection,
 which evaluates each step's candidates in one `ListwiseGame.means` call, must
 walk as the one-coalition oracle does. Background means evaluate each
 distinct background row once; with repeated rows they must match a mean that
 evaluates every row.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -124,10 +128,8 @@ shapes = dict(
 def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, interaction, budget):
     game, background = make_game(n, m, bsize, seed, interaction)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        batched = permutation_shapley(
-            game.value, n, background, n_samples, seed, values_fn=game.values
-        )
-        scalar = permutation_shapley(game.value, n, background, n_samples, seed)
+        batched = permutation_shapley(game.value, n, background, n_samples, seed)
+        scalar = permutation_shapley(lambda S, b: game.value(S, b), n, background, n_samples, seed)
     values, base = walk_permutations(game.value, n, background.vectors, n_samples, seed)
     for attr in (batched, scalar):
         assert attr.values.tobytes() == values.tobytes()
@@ -139,10 +141,10 @@ def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, intera
 def test_exact_batched_matches_scalar(n, m, bsize, seed, interaction, budget):
     game, background = make_game(n, m, bsize, seed, interaction)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        batched = exact_shapley(game.value, n, background, values_fn=game.values)
+        batched = exact_shapley(game.value, n, background)
     scalar = exact_shapley(game.value, n, background, mean_value_fn=game.mean_value)
     assert_same(batched, scalar)
-    assert_same(exact_shapley(game.value, n, background), scalar)
+    assert_same(exact_shapley(lambda S, b: game.value(S, b), n, background), scalar)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,8 +172,8 @@ def test_kernel_value_fn_is_tiled_in_budget_chunks():
     lifted = attribution._batched
     rows_per_call = []
 
-    def recording(value_fn, values_fn):
-        values = lifted(value_fn, values_fn)
+    def recording(value_fn):
+        values = lifted(value_fn)
 
         def record(visible, rows):
             rows_per_call.append(len(rows))
@@ -186,6 +188,70 @@ def test_kernel_value_fn_is_tiled_in_budget_chunks():
         attr = kernel_shap(game.value, game.n, background, 40, 0)
     assert max(rows_per_call) == 3 * len(background.vectors)
     assert sum(rows_per_call) == attr.meta["coalitions_evaluated"] * len(background.vectors)
+
+
+class RoutedGame:
+    """A game with `values`, which only its bound `value` may be routed to."""
+
+    def value(self, visible, b):
+        return float(len(visible))
+
+    def values(self, visible, rows):
+        raise AssertionError("a method other than value was routed to values")
+
+    def doubled(self, visible, b):
+        return 2.0 * len(visible)
+
+
+@pytest.mark.parametrize("kind", ["exact", "permutation", "kernel"])
+def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
+    game, background = make_game(5, 4, 3, 0, interaction=False)
+    estimate = {
+        "exact": lambda fn, **kw: exact_shapley(fn, 5, background, **kw),
+        "permutation": lambda fn: permutation_shapley(fn, 5, background, 40, 0),
+        "kernel": lambda fn, **kw: kernel_shap(fn, 5, background, 20, 0, **kw),
+    }[kind]
+
+    def scorer_calls(*args, **kwargs):
+        with mock.patch.object(game.scorer, "score_batch", wraps=game.scorer.score_batch) as s:
+            attr = estimate(*args, **kwargs)
+        return attr, s.call_count
+
+    bound, bound_calls = scorer_calls(game.value)
+    lifted, lifted_calls = scorer_calls(lambda S, b: game.value(S, b))
+    assert_same(bound, lifted)
+    # Lifted, each (coalition, background row) pair is one scorer call: the
+    # exact and kernel coalitions over the 3 rows, the 6 prefixes per sample.
+    coalitions = 32 if kind == "exact" else lifted.meta.get("coalitions_evaluated")
+    assert lifted_calls == (40 * 6 if kind == "permutation" else coalitions * 3)
+    # Bound, all fit one chunk; the kernel evaluates the empty and full
+    # coalitions before its design.
+    assert bound_calls == (2 if kind == "kernel" else 1)
+
+    # A class-level wrapper of `value`, as a tracer installs, keeps the route.
+    original = ListwiseGame.value
+
+    @functools.wraps(original)
+    def traced(self, visible, b):
+        return original(self, visible, b)
+
+    with mock.patch.object(ListwiseGame, "value", traced):
+        assert scorer_calls(game.value)[1] == bound_calls
+
+    # Any other bound method of a game that has `values` is lifted.
+    additive = estimate(RoutedGame().doubled)
+    np.testing.assert_allclose(additive.values, 2.0)
+
+    if kind != "permutation":
+        # A given mean_value_fn takes one call per coalition, bound value or not.
+        calls = []
+
+        def mean_value(visible):
+            calls.append(visible)
+            return game.mean_value(visible)
+
+        assert_same(estimate(game.value, mean_value_fn=mean_value), bound)
+        assert len(calls) == coalitions
 
 
 def test_mean_value_is_one_scorer_call_over_budget():
@@ -309,9 +375,7 @@ def test_pointwise_kernel_values_fn_matches_mean_value_fn(
             with pytest.raises(EstimationError):
                 pointwise_shap_explain(group, scorer, background, cfg)
             return
-        batched = kernel_shap(
-            game.value, game.n, background, n_samples, seed, values_fn=game.values
-        )
+        batched = kernel_shap(game.value, game.n, background, n_samples, seed)
         attr = pointwise_shap_explain(group, scorer, background, cfg)
     assert_same(batched, expected)
     assert attr.values.tobytes() == explained.tobytes()

@@ -190,6 +190,33 @@ def test_evaluate_gt_file_checks_every_pred_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("estimator, nsamples, message", [
+    ("kernel", 1, "kernel estimator needs n_samples >= 2, got 1"),
+    ("permutation", 0, "n_samples must be positive, got 0"),
+])
+def test_evaluate_small_budget_exit_2_before_ground_truth(tmp_path, capsys, estimator, nsamples,
+                                                          message):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(
+        f"0 qid:q{q} " + " ".join(f"{k + 1}:{x:.6f}" for k, x in enumerate(rng.normal(size=46)))
+        + "\n"
+        for q in range(2) for _ in range(20)
+    ))
+    scorer = json.dumps({"kind": "linear", "weights": [1.0] * 46})
+    out = tmp_path / "r.csv"
+    with mock.patch.object(evaluation, "estimate_ground_truth") as gt:
+        code = main([
+            "evaluate", "--data", str(data), "--scorer", scorer, "--gt", "estimated",
+            "--estimator", estimator, "--nsamples", str(nsamples), "--methods", "rankingshap",
+            "--out", str(out),
+        ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    gt.assert_not_called()
+    assert not out.exists() and not out.with_suffix(".jsonl").exists()
+
+
 @pytest.mark.parametrize("methods, name", [
     ("foo", "foo"), ("greedy", "greedy"), ("greedyx", "greedyx"), ("greedy0", "greedy0"),
     ("greedy13", "greedy13"), ("greedy2_foo", "greedy2_foo"),

@@ -153,6 +153,28 @@ class TestStabilityCurve:
         with pytest.raises(ValueError, match="at least 2 runs"):
             stability_curve(group, scorer, objective, pool, [16], runs=1)
 
+    @pytest.mark.parametrize("mode, size", [
+        ("same_background", 7), ("same_background", 50), ("same_background", 0),
+        ("same_background", -2), ("independent_background", 0),
+        ("independent_background", -2),
+    ])
+    def test_rejects_bad_background_size(self, mode, size):
+        group, scorer, objective, pool = self._instance()
+        pool = BackgroundSet(pool.vectors[:6])
+        with pytest.raises(ValueError, match="background_size"):
+            stability_curve(group, scorer, objective, pool, [16], mode=mode,
+                            background_size=size)
+
+    def test_independent_background_draws_past_the_pool_with_replacement(self):
+        group, scorer, objective, pool = self._instance()
+        pool = BackgroundSet(pool.vectors[:6])
+        with mock.patch.object(evaluation, "ListwiseGame", wraps=ListwiseGame) as game:
+            stability_curve(group, scorer, objective, pool, [16], runs=2,
+                            mode="independent_background", background_size=9)
+        backgrounds = [c.args[3] for c in game.call_args_list]
+        assert [len(b) for b in backgrounds] == [9, 9]
+        assert all(len({row.tobytes() for row in b}) <= 6 for b in backgrounds)
+
 
 class TestRunBenchmark:
     @staticmethod
