@@ -30,19 +30,34 @@ from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
 
+ESTIMATORS = ("exact", "permutation", "kernel")
+
+
 @dataclass
 class EstimatorConfig:
-    kind: str = "exact"  # exact | permutation | kernel
+    kind: str = "exact"  # one of ESTIMATORS
     n_samples: int = 2048
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("exact", "permutation", "kernel"):
+        if self.kind not in ESTIMATORS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.kind == "kernel" and self.n_samples < 2:
             raise ValueError(f"kernel estimator needs n_samples >= 2, got {self.n_samples}")
         if self.kind == "permutation" and self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+
+
+def check_kernel_budget(n: int, n_samples: int) -> None:
+    """Raise EstimationError for a kernel budget that can never give a full-rank
+    design. Below the full 2^n enumeration, the n_samples - 2 sampled rows
+    pair each draw with its complement, whose row in the constrained fit is
+    the draw's negated; n - 1 independent draws need n_samples >= 2n - 1."""
+    if n_samples < 2 * n - 1:
+        raise EstimationError(
+            f"kernel estimator needs n_samples >= 2n - 1 = {2 * n - 1} for {n} features"
+            f" to have a full-rank design, got {n_samples}"
+        )
 
 
 @dataclass
@@ -332,6 +347,7 @@ def kernel_shap(
     """
     if n_samples < 2:
         raise ValueError(f"kernel estimator needs n_samples >= 2, got {n_samples}")
+    check_kernel_budget(n, n_samples)
     B = background_array(background)
     distinct, inverse = distinct_rows(B)
 

@@ -9,7 +9,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .attribution import EstimatorConfig, rankingshap_explain
+from .attribution import ESTIMATORS, EstimatorConfig, rankingshap_explain
 from .data import group_by_query, parse_letor, sample_background
 from .errors import DimensionError, RankShapError
 from .evaluation import (
@@ -126,14 +126,18 @@ def cmd_ground_truth(args) -> int:
 
     def gt_one(group):
         objective = _objective(args.objective, group, scorer)
-        return group, objective, estimate_ground_truth(
+        gt = estimate_ground_truth(
             group, scorer, objective, background, args.nsamples, args.runs, args.seed
         )
+        stability = sizes and stability_curve(
+            group, scorer, objective, background, sizes, runs=args.runs, seed=args.seed
+        )
+        return group, gt, stability
 
     results = _map_queries(gt_one, groups)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for group, objective, gt in results:
+    for group, gt, stability in results:
         prefix = out_dir / f"gt_{group.query_id}"
         gt.mean_attribution.meta["config"] = _run_config(args)
         gt.mean_attribution.save(prefix.with_suffix(".csv"))
@@ -148,11 +152,7 @@ def cmd_ground_truth(args) -> int:
             "seed": args.seed,
         }
         if sizes:
-            rows = stability_curve(
-                group, scorer, objective, background, sizes,
-                runs=args.runs, seed=args.seed,
-            )
-            summary["stability"] = [vars(r) for r in rows]
+            summary["stability"] = [vars(r) for r in stability]
         (prefix.parent / f"{prefix.name}_stability.json").write_text(
             json.dumps(summary, indent=2)
         )
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--objective", default="kendall")
-    p.add_argument("--estimator", default="kernel", choices=["exact", "permutation", "kernel"])
+    p.add_argument("--estimator", default="kernel", choices=ESTIMATORS)
     p.add_argument("--nsamples", type=int, default=None)
     p.add_argument("--background", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer")
     p.add_argument("--objective", default="kendall")
     p.add_argument("--methods", default="rankingshap,pointwise,greedy5,random")
-    p.add_argument("--estimator", default="kernel", choices=["exact", "permutation", "kernel"])
+    p.add_argument("--estimator", default="kernel", choices=ESTIMATORS)
     p.add_argument("--nsamples", type=int, default=2048)
     p.add_argument("--background", type=int, default=10)
     p.add_argument("--gt", default="exact", choices=["exact", "estimated"])

@@ -6,6 +6,8 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from .attribution import (
     Attribution,
     EstimatorConfig,
+    check_kernel_budget,
     estimator_meta,
     exact_shapley,
     permutation_shapley,
@@ -299,26 +302,24 @@ def run_benchmark(
     cfg: EstimatorConfig,
     gt_source: str = "exact",
     background_size: int = 10,
-    gt_n_samples: int = 2**16,
-    gt_runs: int = 3,
     ks: tuple[int, ...] = (3, 10),
     seed: int = 0,
 ) -> EvalReport:
     """Compare attribution methods against ground-truth importance per query.
 
     Backgrounds are drawn per query from that query's own documents. Queries
-    with a single document are skipped and counted.
+    with a single document are skipped and counted. An estimated ground truth
+    runs at `estimate_ground_truth`'s defaults.
     """
     if gt_source not in ("exact", "estimated"):
         raise ValueError(f"unknown gt_source {gt_source!r}")
     n = dataset[0].n if dataset else 0
     methods = parse_methods(methods, n)
+    if cfg.kind == "kernel":
+        check_kernel_budget(n, cfg.n_samples)
     ks = tuple(k for k in ks if k <= n)
-    metric_names = EvalReport(rows={}, ks=ks).columns()
-    sums = {m.name: {c: 0.0 for c in metric_names} for m in methods}
     per_query = []
     skipped = 0
-    counted = 0
     query_seeds = _spawn_seeds(seed, len(dataset))
     for group, qseed in zip(dataset, query_seeds):
         if len(group) == 1:
@@ -333,9 +334,8 @@ def run_benchmark(
             gt = exact_shapley(game.value, game.n, background).values
         else:
             gt = estimate_ground_truth(
-                group, scorer, objective, background, gt_n_samples, gt_runs, qseed
+                group, scorer, objective, background, seed=qseed
             ).mean_attribution.values
-        counted += 1
         greedy_results = {}
         for method in methods:
             pred = gt if method.kind == "gt" else _run_method(
@@ -348,10 +348,12 @@ def run_benchmark(
                 record[f"order@{k}"] = order_metric(gt, pred, k)
                 record[f"valdis@{k}"] = valdis_metric(gt, pred, k)
             per_query.append(record)
-            for c in metric_names:
-                sums[method.name][c] += record[c]
-    rows = {
-        name: {c: (total / counted if counted else float("nan")) for c, total in row.items()}
-        for name, row in sums.items()
-    }
-    return EvalReport(rows=rows, ks=ks, per_query=per_query, skipped_queries=skipped)
+    report = EvalReport(rows={}, ks=ks, per_query=per_query, skipped_queries=skipped)
+    for method in methods:
+        records = [r for r in per_query if r["method"] == method.name]
+        # A left-to-right sum: from Python 3.12 on, sum() compensates floats.
+        report.rows[method.name] = {
+            c: reduce(add, [r[c] for r in records], 0.0) / len(records) if records else np.nan
+            for c in report.columns()
+        }
+    return report

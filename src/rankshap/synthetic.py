@@ -104,8 +104,6 @@ def run_synthetic(
 
     Every method name is checked before any scenario runs.
     """
-    if variant not in ("biased", "unbiased"):
-        raise ValueError(f"unknown variant {variant!r}")
     parsed = parse_methods(methods, len(FEATURE_NAMES), evaluate=False)
     background = sample_talent_background(background_size, seed)
     rows = []

@@ -26,7 +26,7 @@ class UniversityScheme:
 
     best_grade: float
     worst_passing_grade: float
-    bias: str  # none | positive | negative
+    bias: str  # none | positive (no requirements penalty) | negative (score x 0.7)
 
     def contains(self, grade: float) -> bool:
         lo, hi = sorted((self.best_grade, self.worst_passing_grade))
@@ -41,19 +41,12 @@ SCHEMES: dict[University, UniversityScheme] = {
     University.NET: UniversityScheme(10, 6, "none"),
 }
 
-# Stable numeric codes for the categorical feature slot.
-UNIVERSITY_CODES: dict[University, int] = {
-    University.US: 0,
-    University.NEPOTISM: 1,
-    University.NEG_BIAS: 2,
-    University.GER: 3,
-    University.NET: 4,
-}
-_CODE_TO_UNIVERSITY = {c: u for u, c in UNIVERSITY_CODES.items()}
-_BEST = np.array([SCHEMES[_CODE_TO_UNIVERSITY[c]].best_grade for c in range(5)])
-_WORST = np.array([SCHEMES[_CODE_TO_UNIVERSITY[c]].worst_passing_grade for c in range(5)])
-_NEG_BIAS_CODE = UNIVERSITY_CODES[University.NEG_BIAS]
-_NEPOTISM_CODE = UNIVERSITY_CODES[University.NEPOTISM]
+# Stable numeric codes for the categorical feature slot: the enum order.
+UNIVERSITY_CODES: dict[University, int] = {u: i for i, u in enumerate(University)}
+_BEST = np.array([SCHEMES[u].best_grade for u in University])
+_WORST = np.array([SCHEMES[u].worst_passing_grade for u in University])
+_NEGATIVE = np.array([SCHEMES[u].bias == "negative" for u in University])
+_POSITIVE = np.array([SCHEMES[u].bias == "positive" for u in University])
 
 
 @dataclass(frozen=True)
@@ -107,15 +100,15 @@ class TalentScorer(Scorer):
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         codes = np.rint(X[:, 3]).astype(int)
-        if ((codes < 0) | (codes >= 5)).any():
-            bad = X[(codes < 0) | (codes >= 5), 3]
-            raise ValueError(f"unknown university code {bad[0]!r}")
+        bad = (codes < 0) | (codes >= len(University))
+        if bad.any():
+            raise ValueError(f"unknown university code {X[bad, 3][0]!r}")
         norm = np.clip((X[:, 2] - _WORST[codes]) / (_BEST[codes] - _WORST[codes]), 0.0, 1.0)
         base = norm + X[:, 1] + X[:, 0]
         meets = X[:, 4] >= 0.5
         if self.variant == "biased":
-            score = np.where(codes == _NEG_BIAS_CODE, 0.7 * base, base)
-            penalized = ~meets & (codes != _NEPOTISM_CODE)
+            score = np.where(_NEGATIVE[codes], 0.7 * base, base)
+            penalized = ~meets & ~_POSITIVE[codes]
             return np.where(penalized, 0.1 * score, score)
         return np.where(meets, base, 0.1 * base)
 

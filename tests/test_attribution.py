@@ -24,7 +24,7 @@ from rankshap import (
     reference_ranking,
     shapley_weight,
 )
-from rankshap.attribution import _kernel_design
+from rankshap.attribution import _kernel_design, check_kernel_budget
 from rankshap.objectives import ListwiseGame
 from rankshap.rankers import Scorer
 
@@ -229,6 +229,24 @@ class TestKernelShap:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             kernel_shap(lambda S, b: 0.0, 4, bg(4), n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 46])
+    def test_rejects_exactly_the_budgets_that_are_never_full_rank(self, n):
+        # A draw and its complement give negated rows of the constrained fit,
+        # so 2n - 2 samples hold at most n - 2 independent rows.
+        for seed in range(5):
+            rows, _, _ = _kernel_design(n, 2 * n - 2, seed)
+            assert np.linalg.matrix_rank(rows[:, :-1] * 1.0 - rows[:, -1:]) < n - 1
+        calls = []
+
+        def value_fn(S, b):
+            calls.append(S)
+            return float(len(S))
+
+        with pytest.raises(EstimationError, match=f"n_samples >= 2n - 1 = {2 * n - 1}"):
+            kernel_shap(value_fn, n, bg(n), n_samples=2 * n - 2, seed=0)
+        assert calls == []
+        check_kernel_budget(n, 2 * n - 1)
 
 
 def mask_rows(masks, n):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import rankshap
-from rankshap import Attribution, evaluation, synthetic
+from rankshap import Attribution, cli, evaluation, synthetic
 from rankshap.cli import main
+from rankshap.objectives import ListwiseGame
 
 
 @pytest.fixture
@@ -415,6 +417,34 @@ def test_synthetic_bad_method_exit_2_before_any_scenario(tmp_path, capsys):
     explain.assert_not_called()
     assert not out.exists()
 
+
+def test_threaded_ground_truth_stability_matches_serial(workspace, monkeypatch):
+    tmp, data, scorer = workspace
+    threads_used = []
+
+    def stability_curve(*args, **kwargs):
+        threads_used.append(threading.current_thread())
+        return evaluation.stability_curve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_curve", stability_curve)
+    outputs = {}
+    for threads in ("1", "2"):
+        # The same relative --out, so that the config sidecars match too.
+        (tmp / threads).mkdir()
+        monkeypatch.chdir(tmp / threads)
+        monkeypatch.setenv("RANKSHAP_THREADS", threads)
+        assert main([
+            "ground-truth", "--data", str(data), "--scorer", str(scorer), "--nsamples", "32",
+            "--runs", "2", "--background", "3", "--stability", "32,64", "--out", "gt",
+        ]) == 0
+        outputs[threads] = {f.name: f.read_bytes() for f in sorted(Path("gt").iterdir())}
+    assert len(outputs["1"]) == 3 * (2 + 2 * 2 + 1)
+    assert outputs["1"] == outputs["2"]
+    # The serial run sweeps on the main thread, the pooled one in its workers.
+    assert threads_used[:3] == [threading.main_thread()] * 3
+    assert threading.main_thread() not in threads_used[3:]
+
+
 def test_threaded_explain_matches_serial(workspace, monkeypatch):
     tmp, data, scorer = workspace
     serial, threaded = tmp / "s", tmp / "t"
@@ -528,3 +558,41 @@ def test_bad_seed_usage_error_names_the_flag(workspace, capsys, command, seed):
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def twelve_feature_inputs(tmp_path):
+    """Arguments for a 2-query x 5-document file of 12 features and a linear scorer."""
+    rng = np.random.default_rng(1)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(
+        f"0 qid:q{q} " + " ".join(f"{k + 1}:{x:.6f}" for k, x in enumerate(rng.normal(size=12)))
+        + "\n"
+        for q in range(2) for _ in range(5)
+    ))
+    scorer = json.dumps({"kind": "linear", "weights": [1.0] * 12})
+    return ["--data", str(data), "--scorer", scorer, "--background", "2"]
+
+
+@pytest.mark.parametrize("command, nsamples", [("explain", 12), ("explain", 22), ("evaluate", 5)])
+def test_kernel_budget_below_2n_minus_1_exit_2_before_any_scoring(tmp_path, capsys, command,
+                                                                 nsamples):
+    out = tmp_path / "out"
+    with mock.patch.object(ListwiseGame, "values") as values, mock.patch.object(
+        evaluation, "exact_shapley"
+    ) as exact:
+        code = main([command, *twelve_feature_inputs(tmp_path), "--nsamples", str(nsamples),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_samples >= 2n - 1 = 23" in err and f"got {nsamples}" in err
+    values.assert_not_called()
+    exact.assert_not_called()
+    assert not out.exists() and not out.with_suffix(".jsonl").exists()
+
+
+def test_kernel_budget_of_2_to_the_n_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["explain", *twelve_feature_inputs(tmp_path), "--nsamples", str(2**12),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "query_q0.json").read_text())
+    assert meta["coalitions_evaluated"] == 2**12

@@ -211,6 +211,32 @@ class TestRunBenchmark:
         )
         assert report.skipped_queries == 1
 
+    def test_rows_are_the_means_of_the_per_query_records(self):
+        groups, scorer = self._dataset(queries=5)
+        cfg = EstimatorConfig(kind="kernel", n_samples=64)
+        report = run_benchmark(groups, scorer, "kendall", ["rankingshap", "greedy2", "random"],
+                               cfg, background_size=3, ks=(3,), seed=2)
+        assert list(report.rows) == ["rankingshap", "greedy2_iter", "greedy2_marg", "random"]
+        for name, row in report.rows.items():
+            records = [r for r in report.per_query if r["method"] == name]
+            assert len(records) == 5
+            for c in report.columns():
+                total = 0.0
+                for record in records:
+                    total += record[c]
+                assert row[c].hex() == (total / 5).hex()
+
+    def test_rows_are_nan_when_every_query_is_skipped(self):
+        rng = np.random.default_rng(1)
+        singles = [make_group(rng.normal(size=(1, 6)), qid=f"s{i}") for i in range(2)]
+        report = run_benchmark(singles, LinearScorer(rng.normal(size=6)), "kendall",
+                               ["gt", "random"], EstimatorConfig(kind="exact"), ks=(3,))
+        assert report.skipped_queries == 2 and report.per_query == []
+        assert list(report.rows) == ["gt", "random"]
+        for row in report.rows.values():
+            assert list(row) == report.columns()
+            assert all(np.isnan(v) for v in row.values())
+
     def test_greedy_expansion_and_csv(self, tmp_path):
         groups, scorer = self._dataset(queries=2)
         cfg = EstimatorConfig(kind="exact")

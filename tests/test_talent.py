@@ -9,7 +9,7 @@ from rankshap import (
     University,
     talent_features,
 )
-from rankshap.talent import SCHEMES
+from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 
 def test_norm_grade_us():
@@ -114,3 +114,20 @@ def test_scorer_clips_mixed_grade_scheme_combinations():
     # us grade under the net scheme: saturates at 0.
     y = np.array([0.0, 0.0, 3.5, 4.0, 1.0])
     assert scorer.score(y) == pytest.approx(0.0)
+
+
+def test_university_codes_follow_the_enum_order():
+    assert list(UNIVERSITY_CODES.items()) == [(u, i) for i, u in enumerate(University)]
+
+
+@pytest.mark.parametrize("university", list(University))
+def test_biased_scorer_reads_each_bias_from_schemes(university):
+    scheme = SCHEMES[university]
+    scorer = TalentScorer("biased")
+    for meets in (True, False):
+        # The best grade normalizes to 1, so the unbiased base score is 2.
+        x = talent_features(TalentCandidate(0.5, 0.5, scheme.best_grade, university, meets))
+        factor = 0.7 if scheme.bias == "negative" else 1.0
+        if not meets and scheme.bias != "positive":
+            factor *= 0.1
+        assert scorer.score(x) == pytest.approx(2.0 * factor)
