@@ -8,7 +8,8 @@ All three estimators evaluate their coalitions in chunks through a batched
 `values(visible, rows)`. When `value_fn` is the bound `value` of a game that
 also has `values`, that is the game's `values`; any other `value_fn` is
 lifted to it one coalition at a time. A `mean_value_fn(S)` given to the exact
-or kernel estimator is called once per coalition instead.
+or kernel estimator is called once per coalition instead. Otherwise, exact
+enumeration of a game's bound `value` on its own background reads `game.table()`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import BackgroundSet, QueryGroup, background_array
-from .errors import CapacityError, EstimationError
-from .masking import chunk_size, coalition_means, coalition_to_template, distinct_rows
+from .errors import EstimationError
+from .masking import (chunk_size, coalition_means, coalition_table, coalition_to_template,
+                      distinct_rows)
 from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
@@ -140,10 +142,6 @@ class Attribution:
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
 ValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Widest game the exact estimator enumerates: at n = 20 the 2^n uint32
-# coalition masks take 4 MiB and their values V 8 MiB.
-EXACT_MAX_N = 20
-
 
 def shapley_weight(n: int, s: int) -> float:
     """Coalition weight s!(n-s-1)!/n! for a coalition of size s out of n features."""
@@ -173,11 +171,17 @@ def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: i
     }
 
 
+def _game_of(value_fn: ValueFn):
+    """The game whose bound `value` is `value_fn`, or None."""
+    game = getattr(value_fn, "__self__", None)
+    return game if value_fn == getattr(game, "value", None) else None
+
+
 def _batched(value_fn: ValueFn) -> ValuesFn:
     """The `values` of the game whose bound `value` is `value_fn`, else the
     scalar `value_fn` lifted to values(visible, rows)."""
-    game = getattr(value_fn, "__self__", None)
-    if hasattr(game, "values") and value_fn == getattr(game, "value", None):
+    game = _game_of(value_fn)
+    if hasattr(game, "values"):
         return game.values
 
     def values(visible, rows):
@@ -211,19 +215,19 @@ def exact_shapley(
     mean_value_fn=None,
 ) -> Attribution:
     """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
-    if n > EXACT_MAX_N:
-        raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
     B = background_array(background)
-    distinct, inverse = distinct_rows(B)
+    game = _game_of(value_fn)
+    if (mean_value_fn is None and hasattr(game, "table") and game.n == n
+            and B.shape == game.background.shape and B.tobytes() == game.background.tobytes()):
+        V = game.table()
+    else:
+        distinct, inverse = distinct_rows(B)
+        V = coalition_table(
+            lambda rows: _coalition_means(rows, distinct, inverse, value_fn, mean_value_fn),
+            n, len(distinct),
+        )
     masks = np.arange(1 << n, dtype=np.uint32)
-    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    V = np.empty(1 << n)
-    sizes = np.empty(1 << n, dtype=np.intp)
-    step = chunk_size(len(distinct) * n * 8)
-    for lo in range(0, 1 << n, step):
-        rows = (masks[lo:lo + step, None] & bits) != 0
-        sizes[lo:lo + len(rows)] = rows.sum(axis=1)
-        V[lo:lo + len(rows)] = _coalition_means(rows, distinct, inverse, value_fn, mean_value_fn)
+    sizes = sum((masks >> i) & 1 for i in range(n))
     w = np.array([shapley_weight(n, s) for s in range(n)])
     values = np.empty(n)
     for i in range(n):

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import Attribution, estimator_meta
-from .data import BackgroundSet, QueryGroup
-from .objectives import ListwiseGame, ListwiseObjective
-from .rankers import Scorer
+from .objectives import ListwiseGame
 
 FULL = "full"
 
@@ -81,17 +79,8 @@ def greedy_select(
     )
 
 
-def greedy_attribution(
-    group: QueryGroup,
-    scorer: Scorer,
-    objective: ListwiseObjective,
-    background: BackgroundSet | np.ndarray,
-    k,
-    *,
-    stop_on_negative: bool = False,
-) -> GreedyResult:
+def greedy_attribution(game: ListwiseGame, k, *, stop_on_negative: bool = False) -> GreedyResult:
     """Greedy feature selection on the listwise game's background means."""
-    game = ListwiseGame(group, scorer, objective, background)
     return greedy_select(game.means, game.n, k, stop_on_negative=stop_on_negative)
 
 

@@ -13,6 +13,7 @@ from .attribution import ESTIMATORS, EstimatorConfig, rankingshap_explain
 from .data import group_by_query, parse_letor, sample_background
 from .errors import DimensionError, RankShapError
 from .evaluation import (
+    EvalReport,
     estimate_ground_truth,
     order_metric,
     run_benchmark,
@@ -164,22 +165,25 @@ def cmd_evaluate(args) -> int:
     if args.gt_file:
         from .attribution import Attribution
 
+        stems = [Path(f).stem for f in args.pred or ()]
+        if not stems:
+            raise ValueError("evaluate --gt-file needs at least one --pred file")
+        repeated = [f for f, stem in zip(args.pred, stems) if stems.count(stem) > 1]
+        if repeated:
+            raise ValueError(f"--pred files {', '.join(repeated)} share a method name")
         gt_path = Path(args.gt_file)
         if not gt_path.exists():
             raise ValueError(f"ground-truth file not found: {gt_path}")
         gt = Attribution.load(gt_path)
-        preds = []
-        for pred_file in args.pred or []:
+        rows = {}
+        for stem, pred_file in zip(stems, args.pred):
             pred = Attribution.load(pred_file)
             if pred.n != gt.n:
-                raise ValueError(
-                    f"feature dimension mismatch: gt has {gt.n}, {pred_file} has {pred.n}"
-                )
-            preds.append((Path(pred_file).stem, pred))
-        with Path(args.out).open("w") as fh:
-            fh.write("method,order_all,valdis_all\n")
-            for stem, pred in preds:
-                fh.write(f"{stem},{order_metric(gt, pred)},{valdis_metric(gt, pred)}\n")
+                raise ValueError(f"feature dimension mismatch: gt has {gt.n},"
+                                 f" {pred_file} has {pred.n}")
+            rows[stem] = {"order_all": order_metric(gt, pred),
+                          "valdis_all": valdis_metric(gt, pred)}
+        EvalReport(rows, ks=()).to_csv(args.out)
         print(f"wrote evaluation to {args.out}")
         return EXIT_OK
 

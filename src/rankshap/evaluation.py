@@ -15,12 +15,12 @@ import numpy as np
 from .attribution import (
     Attribution,
     EstimatorConfig,
+    _run_estimator,
     check_kernel_budget,
     estimator_meta,
     exact_shapley,
     permutation_shapley,
     pointwise_shap_explain,
-    rankingshap_explain,
 )
 from .baselines import greedy_attribution, random_attribution
 from .data import BackgroundSet, QueryGroup, background_array, sample_background
@@ -270,26 +270,24 @@ def parse_methods(names, n: int, *, evaluate: bool = True) -> list[Method]:
     return methods
 
 
-def _run_method(method: Method, group, scorer, objective, background, cfg: EstimatorConfig,
+def _run_method(method: Method, group, game: ListwiseGame, background, cfg: EstimatorConfig,
                 seed, greedy_results: dict | None = None, stop_on_negative: bool = False):
-    """Attribution values of one parsed method (not `gt`) on one query, with
-    `cfg` reseeded to `seed`.
+    """Attribution values of one parsed method (not `gt`) on one query and its
+    game, with `cfg` reseeded to `seed`.
 
     A given `greedy_results` dict keeps each k's greedy result for this query,
     so the iter and marg readings share one run.
     """
     qcfg = replace(cfg, seed=seed)
     if method.kind == "rankingshap":
-        return rankingshap_explain(group, scorer, objective, background, qcfg).values
+        return _run_estimator(game, background, qcfg).values
     if method.kind == "pointwise":
-        return pointwise_shap_explain(group, scorer, background, qcfg).values
+        return pointwise_shap_explain(group, game.scorer, background, qcfg).values
     if method.kind == "random":
         return random_attribution(group.n, seed).values
     results = {} if greedy_results is None else greedy_results
     if method.k not in results:
-        results[method.k] = greedy_attribution(
-            group, scorer, objective, background, method.k, stop_on_negative=stop_on_negative
-        )
+        results[method.k] = greedy_attribution(game, method.k, stop_on_negative=stop_on_negative)
     result = results[method.k]
     return result.attributions_marg if method.reading == "marg" else result.attributions_iter
 
@@ -309,7 +307,8 @@ def run_benchmark(
 
     Backgrounds are drawn per query from that query's own documents. Queries
     with a single document are skipped and counted. An estimated ground truth
-    runs at `estimate_ground_truth`'s defaults.
+    runs at `estimate_ground_truth`'s defaults. The methods share the query's
+    game, so after an exact ground truth they read its coalition table.
     """
     if gt_source not in ("exact", "estimated"):
         raise ValueError(f"unknown gt_source {gt_source!r}")
@@ -339,7 +338,7 @@ def run_benchmark(
         greedy_results = {}
         for method in methods:
             pred = gt if method.kind == "gt" else _run_method(
-                method, group, scorer, objective, background, cfg, qseed, greedy_results
+                method, group, game, background, cfg, qseed, greedy_results
             )
             record = {"query_id": group.query_id, "method": method.name}
             record["order_all"] = order_metric(gt, pred)

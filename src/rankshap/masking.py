@@ -11,6 +11,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import CapacityError
+
+# Widest game whose 2^n coalitions are enumerated: at n = 20 the 2^n uint32
+# coalition masks take 4 MiB and their values 8 MiB.
+EXACT_MAX_N = 20
+
 # Byte budget of one batch of masked rows. The batched game and the estimators
 # cut their coalition batches into chunks of at most this size.
 MASK_BUDGET_BYTES = 256 * 1024
@@ -55,6 +61,19 @@ def coalition_means(values, visible, distinct, inverse) -> np.ndarray:
         # and sums in another order.
         out[lo:lo + c] = np.take(vals, inverse, axis=1).mean(axis=1)
     return out
+
+
+def coalition_table(means, n: int, k: int) -> np.ndarray:
+    """`means(visible)` of all 2^n coalitions by bitmask (bit i set: feature i visible),
+    in chunks within MASK_BUDGET_BYTES over k background rows; CapacityError above EXACT_MAX_N."""
+    if n > EXACT_MAX_N:
+        raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
+    table = np.empty(1 << n)
+    step = chunk_size(k * n * 8)
+    for lo in range(0, 1 << n, step):
+        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)[:, None]
+        table[lo:lo + step] = means((masks >> np.arange(n, dtype=np.uint32)) & 1 != 0)
+    return table
 
 
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:

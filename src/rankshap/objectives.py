@@ -13,7 +13,8 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup, background_array
 from .errors import DimensionError
-from .masking import chunk_size, coalition_means, coalition_to_template, distinct_rows
+from .masking import (chunk_size, coalition_means, coalition_table, coalition_to_template,
+                      distinct_rows)
 from .rankers import Scorer, rank, rank_many
 
 
@@ -173,6 +174,7 @@ class ListwiseGame:
     `means` (many coalitions) and `mean_value` (one, in one scorer batch)
     evaluate each distinct background row once and average the values over
     the whole background; `value` wraps `values` for one coalition and row.
+    Once `table` has evaluated every coalition, `means` and `mean_value` read it.
     """
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
@@ -188,6 +190,7 @@ class ListwiseGame:
         self.n = self.X.shape[1]
         self.m = self.X.shape[0]
         self._distinct, self._inverse = distinct_rows(self.background)
+        self._table = None
 
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Objective values of k masked lists, one per row of the (k, n) `rows`.
@@ -218,9 +221,20 @@ class ListwiseGame:
     def value(self, visible, b: np.ndarray) -> float:
         return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
 
+    def table(self) -> np.ndarray:
+        """Read-only `coalition_table` of `means`, evaluated on the first call."""
+        if self._table is None:
+            self._table = coalition_table(self.means, self.n, len(self._distinct))
+            self._table.flags.writeable = False
+        return self._table
+
     def means(self, visible: np.ndarray) -> np.ndarray:
         """Background mean of v(S, .) for each row of the (c, n) boolean `visible`."""
+        if self._table is not None:
+            return self._table[visible @ (1 << np.arange(self.n))]
         return coalition_means(self.values, visible, self._distinct, self._inverse)
 
     def mean_value(self, visible) -> float:
+        if self._table is not None:
+            return float(self.means(self._visible(visible))[0])
         return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())

@@ -11,7 +11,7 @@ import numpy as np
 from .attribution import EstimatorConfig
 from .data import BackgroundSet, Document, QueryGroup
 from .evaluation import Method, _run_method, parse_methods
-from .objectives import KendallTauObjective, reference_ranking
+from .objectives import KendallTauObjective, ListwiseGame, reference_ranking
 from .talent import (
     _BEST,
     _WORST,
@@ -88,9 +88,10 @@ def explain_scenario(
     group = scenario.group()
     scorer = TalentScorer(variant)
     objective = KendallTauObjective(reference_ranking(group, scorer))
+    game = ListwiseGame(group, scorer, objective, background)
     cfg = EstimatorConfig(kind="exact")
     return _run_method(
-        method, group, scorer, objective, background, cfg, seed, stop_on_negative=method.k == 2
+        method, group, game, background, cfg, seed, stop_on_negative=method.k == 2
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_linear_instance
 from rankshap import FULL, greedy_attribution, random_attribution
 from rankshap.baselines import greedy_select
+from rankshap.objectives import ListwiseGame
 
 
 def counting(vtilde):
@@ -79,10 +80,11 @@ class TestGreedySelect:
 
 def test_greedy_attribution_on_listwise_game():
     group, scorer, objective, background = make_linear_instance(5, 4, seed=20)
-    result = greedy_attribution(group, scorer, objective, background, k=2)
+    game = ListwiseGame(group, scorer, objective, background)
+    result = greedy_attribution(game, k=2)
     assert len(result.selection_order) == 2
     assert len(set(result.selection_order)) == 2
-    full = greedy_attribution(group, scorer, objective, background, k=FULL)
+    full = greedy_attribution(game, k=FULL)
     assert sorted(full.selection_order) == list(range(5))
 
 

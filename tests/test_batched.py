@@ -12,11 +12,16 @@ pointwise kernel, which evaluates its coalitions through
 which evaluates each step's candidates in one `ListwiseGame.means` call, must
 walk as the one-coalition oracle does. Background means evaluate each
 distinct background row once; with repeated rows they must match a mean that
-evaluates every row.
+evaluates every row. `run_benchmark` shares one game per query, whose
+coalition table the exact ground truth fills and the kernel and greedy read:
+its records must match a run that gives each method a fresh game, and the
+exact estimator reads a table only for the game's own background.
 """
 
 import functools
+import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,9 +46,9 @@ from rankshap import (
     sample_background,
     sample_talent_background,
 )
-from rankshap import attribution, masking
+from rankshap import attribution, evaluation, masking
 from rankshap.attribution import _PointwiseGame, exact_shapley, kernel_shap, permutation_shapley
-from rankshap.errors import EstimationError
+from rankshap.errors import CapacityError, EstimationError
 from rankshap.objectives import ListwiseGame
 
 
@@ -212,8 +217,8 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
         "kernel": lambda fn, **kw: kernel_shap(fn, 5, background, 20, 0, **kw),
     }[kind]
 
-    def scorer_calls(*args, **kwargs):
-        with mock.patch.object(game.scorer, "score_batch", wraps=game.scorer.score_batch) as s:
+    def scorer_calls(*args, on=game, **kwargs):
+        with mock.patch.object(on.scorer, "score_batch", wraps=on.scorer.score_batch) as s:
             attr = estimate(*args, **kwargs)
         return attr, s.call_count
 
@@ -228,6 +233,12 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
     # coalitions before its design.
     assert bound_calls == (2 if kind == "kernel" else 1)
 
+    if kind == "exact":
+        # The game now holds its coalition table, and a rerun reads it.
+        again, again_calls = scorer_calls(game.value)
+        assert again_calls == 0
+        assert_same(again, bound)
+
     # A class-level wrapper of `value`, as a tracer installs, keeps the route.
     original = ListwiseGame.value
 
@@ -235,8 +246,9 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
     def traced(self, visible, b):
         return original(self, visible, b)
 
+    fresh, _ = make_game(5, 4, 3, 0, interaction=False)
     with mock.patch.object(ListwiseGame, "value", traced):
-        assert scorer_calls(game.value)[1] == bound_calls
+        assert scorer_calls(fresh.value, on=fresh)[1] == bound_calls
 
     # Any other bound method of a game that has `values` is lifted.
     additive = estimate(RoutedGame().doubled)
@@ -297,7 +309,8 @@ def test_greedy_batched_matches_scalar_walk(
         ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
     ) as values:
         result = greedy_attribution(
-            group, scorer, objective, background, k, stop_on_negative=stop_on_negative
+            ListwiseGame(group, scorer, objective, background), k,
+            stop_on_negative=stop_on_negative,
         )
     selected = result.selection_order
     assert selected == expected.selection_order
@@ -454,8 +467,127 @@ def test_repeated_background_rows_match_full_evaluation(seed, interaction):
     attr = pointwise_shap_explain(group, scorer, background, cfg)
     assert attr.values.tobytes() == (pointwise / 5).tobytes()
 
-    greedy = greedy_attribution(group, scorer, objective, background, 3)
+    greedy = greedy_attribution(ListwiseGame(group, scorer, objective, background), 3)
     expected = oracles.greedy_select(listwise, n, 3)
     assert greedy.selection_order == expected.selection_order
     assert greedy.attributions_iter.tobytes() == expected.attributions_iter.tobytes()
     assert greedy.attributions_marg.tobytes() == expected.attributions_marg.tobytes()
+
+
+def benchmark_dataset(n, interaction, seed=0):
+    """Three queries, one of which repeats documents, so its background repeats rows."""
+    rng = np.random.default_rng(seed)
+    groups = [make_group(rng.normal(size=(5, n)), qid=f"q{i}") for i in range(2)]
+    groups.append(make_group(rng.normal(size=(3, n))[[0, 1, 0, 2, 1]], qid="dup"))
+    return groups, make_scorer(rng, n, interaction)
+
+
+def run_on_fresh_games(run_method):
+    """`_run_method` with a fresh game of its own for each method."""
+
+    def run(method, group, game, background, *args, **kwargs):
+        own = ListwiseGame(group, game.scorer, game.objective, background)
+        return run_method(method, group, own, background, *args, **kwargs)
+
+    return run
+
+
+@pytest.mark.parametrize("interaction", [False, True])
+@pytest.mark.parametrize("objective", ["kendall", "topk:2", "docrank:1"])
+@pytest.mark.parametrize("kind, n_samples", [("kernel", 40), ("exact", 0), ("permutation", 8)])
+def test_run_benchmark_matches_fresh_games_per_method(kind, n_samples, objective, interaction):
+    groups, scorer = benchmark_dataset(7, interaction)
+    cfg = EstimatorConfig(kind=kind, n_samples=n_samples)
+    methods = ["gt", "rankingshap", "pointwise", "greedy3", "greedy7", "random"]
+    kwargs = dict(background_size=4, ks=(3,), seed=5)
+    report = evaluation.run_benchmark(groups, scorer, objective, methods, cfg, **kwargs)
+    with mock.patch.object(evaluation, "_run_method",
+                           run_on_fresh_games(evaluation._run_method)):
+        expected = evaluation.run_benchmark(groups, scorer, objective, methods, cfg, **kwargs)
+    assert json.dumps(report.per_query) == json.dumps(expected.per_query)
+    assert len(report.per_query) == 3 * 8
+    for name, row in expected.rows.items():
+        assert {c: v.hex() for c, v in report.rows[name].items()} == {
+            c: v.hex() for c, v in row.items()
+        }
+
+
+def test_kernel_and_greedy_read_the_exact_ground_truths_table():
+    groups, scorer = benchmark_dataset(8, interaction=False)
+    calls = {}
+    run_method = evaluation._run_method
+
+    def counted(method, *args, **kwargs):
+        before = score.call_count
+        values = run_method(method, *args, **kwargs)
+        calls[method.kind] = calls.get(method.kind, 0) + score.call_count - before
+        return values
+
+    cfg = EstimatorConfig(kind="kernel", n_samples=64)  # sampled: 64 < 2^8 coalitions
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
+            mock.patch.object(evaluation, "_run_method", counted):
+        evaluation.run_benchmark(groups, scorer, "kendall",
+                                 ["rankingshap", "pointwise", "greedy5", "random"], cfg,
+                                 background_size=4)
+    # The pointwise baseline plays its own per-document games.
+    assert calls == {"rankingshap": 0, "pointwise": calls["pointwise"], "greedy": 0, "random": 0}
+    assert calls["pointwise"] > 0
+
+
+def game_with_table(n):
+    """A game whose background holds a 0.0 and whose coalition table is filled,
+    with its query group."""
+    group, scorer, objective, background = make_instance(n, 4, 3, 3, interaction=True)
+    B = background.vectors.copy()
+    B[1, 2] = 0.0
+    game = ListwiseGame(group, scorer, objective, B)
+    game.table()
+    return game, group
+
+
+@pytest.mark.parametrize("change", ["reordered", "signed zero", "one row changed", None])
+def test_exact_reads_the_table_only_for_the_games_own_background(change):
+    n = 5
+    game, group = game_with_table(n)
+    B = game.background
+    if change is None:
+        # The game's own background, but through a mean_value_fn.
+        other, calls = B, []
+
+        def mean_value(visible):
+            calls.append(visible)
+            return oracles.listwise_mean(group, game.scorer, game.objective, visible, B)
+    else:
+        other = {
+            "reordered": B[[2, 0, 1]],
+            "signed zero": np.where(B == 0.0, -0.0, B),
+            "one row changed": np.vstack([B[:2], B[2] + 1.0]),
+        }[change]
+        assert other.tobytes() != B.tobytes()
+        mean_value = None
+    expected = exact_shapley(
+        None, n, other,
+        mean_value_fn=lambda v: oracles.listwise_mean(group, game.scorer, game.objective, v, other),
+    )
+    with mock.patch.object(game, "table", side_effect=AssertionError("read the table")), \
+            mock.patch.object(game.scorer, "score_batch", wraps=game.scorer.score_batch) as score:
+        attr = exact_shapley(game.value, n, other, mean_value_fn=mean_value)
+    assert_same(attr, expected)
+    if change is None:
+        assert len(calls) == 1 << n
+    else:
+        assert score.call_count > 0
+
+
+def test_table_above_exact_max_n_raises_before_allocating():
+    game, _ = make_game(masking.EXACT_MAX_N + 1, 3, 2, 0, interaction=False)
+    with mock.patch.object(game.scorer, "score_batch", side_effect=AssertionError("scored")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"n <= {masking.EXACT_MAX_N}"):
+                game.table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The table alone would take 2^21 float64, 16 MiB.
+    assert peak < 1 << 16

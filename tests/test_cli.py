@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -374,6 +375,40 @@ def test_evaluate_gt_file_self_evaluation(tmp_path):
     assert code == 0
     row = out.read_text().splitlines()[1].split(",")
     assert float(row[1]) == 0.0 and float(row[2]) == 0.0
+
+
+def test_evaluate_gt_file_report_quotes_method_names(tmp_path):
+    gt, pred = tmp_path / "gt.csv", tmp_path / "a,b.csv"
+    Attribution(values=np.array([0.5, 0.2, 0.1]), base_value=0.0).save(gt)
+    Attribution(values=np.array([0.1, 0.2, 0.5]), base_value=0.0).save(pred)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--gt-file", str(gt), "--pred", str(pred), "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {"method": "a,b", "order_all": repr(4.0),
+                   "valdis_all": repr(evaluation.valdis_metric([0.5, 0.2, 0.1], [0.1, 0.2, 0.5]))}
+
+
+def test_evaluate_gt_file_without_pred_exit_2(tmp_path, capsys):
+    gt, out = tmp_path / "gt.csv", tmp_path / "r.csv"
+    Attribution(values=np.zeros(3), base_value=0.0).save(gt)
+    for pred in ([], ["--pred"]):
+        assert main(["evaluate", "--gt-file", str(gt), *pred, "--out", str(out)]) == 2
+        assert "--gt-file needs at least one --pred file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_gt_file_repeated_pred_stem_exit_2(tmp_path, capsys):
+    gt, out = tmp_path / "gt.csv", tmp_path / "r.csv"
+    first, second = tmp_path / "x" / "m.csv", tmp_path / "y" / "m.csv"
+    for path in (gt, first, second):
+        path.parent.mkdir(exist_ok=True)
+        Attribution(values=np.zeros(3), base_value=0.0).save(path)
+    code = main(["evaluate", "--gt-file", str(gt), "--pred", str(first), str(second),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"--pred files {first}, {second} share a method name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synthetic_reproducible_bytes(tmp_path):

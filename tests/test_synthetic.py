@@ -12,6 +12,7 @@ from rankshap import (
     run_synthetic,
     sample_talent_background,
 )
+from rankshap.objectives import ListwiseGame
 from rankshap.synthetic import SCENARIO_MEMBERS, explain_scenario
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
@@ -102,7 +103,8 @@ def test_explain_scenario_greedy_readings():
     group = scen.group()
     scorer = TalentScorer("biased")
     objective = KendallTauObjective(reference_ranking(group, scorer))
-    result = greedy_attribution(group, scorer, objective, bg, 2, stop_on_negative=True)
+    game = ListwiseGame(group, scorer, objective, bg)
+    result = greedy_attribution(game, 2, stop_on_negative=True)
     for method, expected in [
         ("greedy2", result.attributions_iter),
         ("greedy2_iter", result.attributions_iter),
