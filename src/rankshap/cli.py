@@ -60,6 +60,20 @@ def _load_inputs(args):
     return docs, groups, scorer
 
 
+def _check_queries(args, groups, names_files: bool = True) -> None:
+    """Refuse, before any query runs, an objective spec that does not fit a
+    multi-document query and, when each query names an output file, a query
+    id that holds a path separator."""
+    for g in groups:
+        if names_files and ("/" in g.query_id or "\\" in g.query_id):
+            raise ValueError(f"{args.data}: query id {g.query_id!r} holds a path separator")
+        if len(g) > 1:
+            try:
+                make_objective(args.objective, range(len(g)))
+            except ValueError as exc:
+                raise ValueError(f"{args.data}: query {g.query_id!r}: {exc}") from None
+
+
 def _objective(spec: str, group, scorer):
     """The query's objective, or None for a single document (constant attribution)."""
     if len(group) == 1:
@@ -88,15 +102,14 @@ def _sample_sizes(spec: str) -> list[int]:
 
 def _run_config(args, extra=None) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    if extra:
-        cfg.update(extra)
-    return cfg
+    return {**cfg, **(extra or {})}
 
 
 def cmd_explain(args) -> int:
     docs, groups, scorer = _load_inputs(args)
     n = groups[0].n
     n_samples = args.nsamples if args.nsamples is not None else 2 * n + 2048
+    _check_queries(args, groups)
     background = sample_background(docs, args.background, args.seed)
     cfg = EstimatorConfig(kind=args.estimator, n_samples=n_samples, seed=args.seed)
 
@@ -123,6 +136,7 @@ def cmd_ground_truth(args) -> int:
         groups = [g for g in groups if g.query_id == args.query]
         if not groups:
             raise RankShapError(f"query {args.query!r} not found")
+    _check_queries(args, groups)
     background = sample_background(docs, args.background, args.seed)
 
     def gt_one(group):
@@ -165,6 +179,9 @@ def cmd_evaluate(args) -> int:
     if args.gt_file:
         from .attribution import Attribution
 
+        stray = [f"--{flag}" for flag in ("data", "scorer") if getattr(args, flag) is not None]
+        if stray:
+            raise ValueError(f"evaluate --gt-file does not read {' or '.join(stray)}")
         stems = [Path(f).stem for f in args.pred or ()]
         if not stems:
             raise ValueError("evaluate --gt-file needs at least one --pred file")
@@ -187,23 +204,18 @@ def cmd_evaluate(args) -> int:
         print(f"wrote evaluation to {args.out}")
         return EXIT_OK
 
+    if args.pred is not None:
+        raise ValueError("evaluate reads --pred only with --gt-file")
     for flag in ("data", "scorer"):
         if getattr(args, flag) is None:
             raise ValueError(f"evaluate needs --{flag} unless --gt-file is given")
     _, groups, scorer = _load_inputs(args)
     if all(len(g) == 1 for g in groups):
         raise ValueError(f"no query in {args.data} has 2 or more documents")
+    _check_queries(args, groups, names_files=False)
     cfg = EstimatorConfig(kind=args.estimator, n_samples=args.nsamples, seed=args.seed)
-    report = run_benchmark(
-        groups,
-        scorer,
-        args.objective,
-        args.methods.split(","),
-        cfg,
-        gt_source=args.gt,
-        background_size=args.background,
-        seed=args.seed,
-    )
+    report = run_benchmark(groups, scorer, args.objective, args.methods.split(","), cfg,
+                           gt_source=args.gt, background_size=args.background, seed=args.seed)
     report.to_csv(args.out)
     per_query = Path(args.out).with_suffix(".jsonl")
     report.per_query_jsonl(per_query)

@@ -44,6 +44,14 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _permutation_runs(games: list[ListwiseGame], n_samples: int, seed: int) -> list[Attribution]:
+    """One `permutation_shapley` run per game on its own background, seeded in turn from `seed`."""
+    return [
+        permutation_shapley(game.value, game.n, game.background, n_samples, run_seed)
+        for game, run_seed in zip(games, _spawn_seeds(seed, len(games)))
+    ]
+
+
 def estimate_ground_truth(
     group: QueryGroup,
     scorer: Scorer,
@@ -67,10 +75,7 @@ def estimate_ground_truth(
         zero = Attribution(values=np.zeros(group.n), base_value=1.0, meta=meta)
         return GroundTruth(zero, [], np.zeros(group.n), n_samples=0, runs=0)
     game = ListwiseGame(group, scorer, objective, background)
-    per_run = [
-        permutation_shapley(game.value, game.n, background, n_samples, run_seed)
-        for run_seed in _spawn_seeds(seed, runs)
-    ]
+    per_run = _permutation_runs([game] * runs, n_samples, seed)
     stacked = np.stack([a.values for a in per_run])
     mean_attr = Attribution(
         values=stacked.mean(axis=0),
@@ -113,6 +118,7 @@ def stability_curve(
     draws a fresh background of `background_size` vectors from the pool per run,
     with replacement when it exceeds the pool. `background_size` defaults to
     the whole pool; same_background takes the pool's first `background_size` rows.
+    Each run plays one game at every size, so the backgrounds do not depend on it.
     A single document's std is 0 at every size, and `objective` may be None.
     """
     if runs < 2:
@@ -129,21 +135,16 @@ def stability_curve(
         raise ValueError(f"background_size {size} exceeds the pool of {len(pool)} rows")
     if len(group) == 1:
         return [StabilityRow(n, 0.0, 0.0) for n in sample_sizes]
+    if mode == "same_background":
+        games = [ListwiseGame(group, scorer, objective, pool[:size])] * runs
+    else:
+        rngs = [np.random.default_rng(s) for s in _spawn_seeds(seed ^ 0x5AB1E, runs)]
+        draws = [rng.choice(len(pool), size=size, replace=size > len(pool)) for rng in rngs]
+        games = [ListwiseGame(group, scorer, objective, pool[idx]) for idx in draws]
     rows = []
     for n_samples in sample_sizes:
-        run_values = []
-        bg_seeds = _spawn_seeds(seed ^ 0x5AB1E, runs)
-        for run_idx, run_seed in enumerate(_spawn_seeds(seed + n_samples, runs)):
-            if mode == "independent_background":
-                rng = np.random.default_rng(bg_seeds[run_idx])
-                idx = rng.choice(len(pool), size=size, replace=size > len(pool))
-                background = pool[idx]
-            else:
-                background = pool[:size]
-            game = ListwiseGame(group, scorer, objective, background)
-            attr = permutation_shapley(game.value, game.n, background, n_samples, run_seed)
-            run_values.append(attr.values)
-        stacked = np.stack(run_values)
+        per_run = _permutation_runs(games, n_samples, seed + n_samples)
+        stacked = np.stack([a.values for a in per_run])
         std = stacked.std(axis=0, ddof=1)
         top5 = np.argsort(-np.abs(stacked.mean(axis=0)), kind="stable")[:5]
         rows.append(
@@ -271,12 +272,12 @@ def parse_methods(names, n: int, *, evaluate: bool = True) -> list[Method]:
 
 
 def _run_method(method: Method, group, game: ListwiseGame, background, cfg: EstimatorConfig,
-                seed, greedy_results: dict | None = None, stop_on_negative: bool = False):
+                seed, greedy_results: dict, stop_on_negative: bool = False):
     """Attribution values of one parsed method (not `gt`) on one query and its
     game, with `cfg` reseeded to `seed`.
 
-    A given `greedy_results` dict keeps each k's greedy result for this query,
-    so the iter and marg readings share one run.
+    `greedy_results` keeps each k's greedy result for this query, so the iter
+    and marg readings share one run.
     """
     qcfg = replace(cfg, seed=seed)
     if method.kind == "rankingshap":
@@ -285,10 +286,10 @@ def _run_method(method: Method, group, game: ListwiseGame, background, cfg: Esti
         return pointwise_shap_explain(group, game.scorer, background, qcfg).values
     if method.kind == "random":
         return random_attribution(group.n, seed).values
-    results = {} if greedy_results is None else greedy_results
-    if method.k not in results:
-        results[method.k] = greedy_attribution(game, method.k, stop_on_negative=stop_on_negative)
-    result = results[method.k]
+    k = method.k
+    if k not in greedy_results:
+        greedy_results[k] = greedy_attribution(game, k, stop_on_negative=stop_on_negative)
+    result = greedy_results[k]
     return result.attributions_marg if method.reading == "marg" else result.attributions_iter
 
 

@@ -38,15 +38,8 @@ class Scenario:
     candidate_names: tuple[str, ...]
 
     def group(self) -> QueryGroup:
-        docs = tuple(
-            Document(
-                query_id=self.name,
-                doc_index=i,
-                features=talent_features(CANDIDATES[c]),
-                relevance=0,
-            )
-            for i, c in enumerate(self.candidate_names)
-        )
+        docs = tuple(Document(self.name, i, talent_features(CANDIDATES[c]), relevance=0)
+                     for i, c in enumerate(self.candidate_names))
         return QueryGroup(query_id=self.name, documents=docs, n=5)
 
 
@@ -70,56 +63,46 @@ def sample_talent_background(size: int = 100, seed: int = 0) -> BackgroundSet:
 SYNTHETIC_METHODS = ("rankingshap", "pointwise", "greedy2")
 
 
-def explain_scenario(
-    scenario: Scenario,
-    variant: str,
-    method: str | Method,
-    background: BackgroundSet,
-    seed: int = 0,
-) -> np.ndarray:
-    """Attribution values of one method on one scenario (exact estimators).
+def _scenario_values(scenario: Scenario, scorer: TalentScorer, methods: list[Method],
+                     background: BackgroundSet, seed: int) -> list[np.ndarray]:
+    """Attribution values of each parsed method on one scenario, all on one
+    game with exact estimators (greedy reads exact `rankingshap`'s table).
 
     A bare `greedy<k>` reports the iterative attributions and, at k = 2,
     stops once every remaining feature lowers the objective; the other
     methods run as in `evaluation.run_benchmark`.
     """
-    if isinstance(method, str):
-        (method,) = parse_methods([method], len(FEATURE_NAMES), evaluate=False)
     group = scenario.group()
-    scorer = TalentScorer(variant)
     objective = KendallTauObjective(reference_ranking(group, scorer))
     game = ListwiseGame(group, scorer, objective, background)
     cfg = EstimatorConfig(kind="exact")
-    return _run_method(
-        method, group, game, background, cfg, seed, stop_on_negative=method.k == 2
-    )
+    greedy_results = {}
+    return [_run_method(m, group, game, background, cfg, seed, greedy_results,
+                        stop_on_negative=m.k == 2) for m in methods]
 
 
-def run_synthetic(
-    variant: str = "biased",
-    methods=SYNTHETIC_METHODS,
-    background_size: int = 100,
-    seed: int = 0,
-) -> list[dict]:
+def explain_scenario(scenario: Scenario, variant: str, method: str, background: BackgroundSet,
+                     seed: int = 0) -> np.ndarray:
+    """Attribution values of the method named `method` on one scenario."""
+    parsed = parse_methods([method], len(FEATURE_NAMES), evaluate=False)
+    return _scenario_values(scenario, TalentScorer(variant), parsed, background, seed)[0]
+
+
+def run_synthetic(variant: str = "biased", methods=SYNTHETIC_METHODS, background_size: int = 100,
+                  seed: int = 0) -> list[dict]:
     """All scenarios x methods; rows of feature,scenario,method,phi.
 
     Every method name is checked before any scenario runs.
     """
     parsed = parse_methods(methods, len(FEATURE_NAMES), evaluate=False)
+    scorer = TalentScorer(variant)
     background = sample_talent_background(background_size, seed)
     rows = []
     for scenario in build_scenarios():
-        for method in parsed:
-            values = explain_scenario(scenario, variant, method, background, seed)
-            for i, name in enumerate(FEATURE_NAMES):
-                rows.append(
-                    {
-                        "feature": name,
-                        "scenario": scenario.name,
-                        "method": method.name,
-                        "phi": float(values[i]),
-                    }
-                )
+        values = _scenario_values(scenario, scorer, parsed, background, seed)
+        for method, phi in zip(parsed, values):
+            rows += [{"feature": name, "scenario": scenario.name, "method": method.name,
+                      "phi": float(phi[i])} for i, name in enumerate(FEATURE_NAMES)]
     return rows
 
 

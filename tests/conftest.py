@@ -35,20 +35,23 @@ def make_linear_instance(n, m, seed, bsize=5):
 
 class InteractionScorer(Scorer):
     """Linear score plus pairwise interaction terms; background-sensitive
-    under listwise masking, unlike a purely linear scorer."""
+    under listwise masking, unlike a purely linear scorer.
+
+    The linear term is summed row by row, as in `LinearScorer`: a BLAS
+    matrix-vector product would make a row's score depend on its place in the
+    batch, against the `Scorer` contract.
+    """
 
     def __init__(self, weights, pair_weights):
         self.weights = np.asarray(weights, dtype=float)
         self.pair_weights = np.asarray(pair_weights, dtype=float)
         self.name = "interaction"
 
-    def score(self, features):
-        x = np.asarray(features, dtype=float)
-        return float(x @ self.weights + x @ self.pair_weights @ x)
-
     def score_batch(self, X):
         X = np.asarray(X, dtype=float)
-        return X @ self.weights + np.einsum("ki,ij,kj->k", X, self.pair_weights, X)
+        return (X * self.weights).sum(axis=1) + np.einsum(
+            "ki,ij,kj->k", X, self.pair_weights, X
+        )
 
 
 def brute_force_shapley(vtilde, n):

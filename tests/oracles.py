@@ -8,7 +8,8 @@ distinct background rows only, the kernel design as boolean rows merged by
 batch of candidates per step (`baselines.greedy_select`), and the talent
 model only in `TalentScorer.score_batch`. These one-list, one-permutation,
 one-mask, one-row, one-coalition, one-draw, one-candidate forms are kept here
-as independent oracles for the tests.
+as independent oracles for the tests. `stability_curve` builds its games once,
+before its size loop; the form here builds one game per run and size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from rankshap import (
     UniversityScheme,
     rank,
 )
-from rankshap.attribution import kernel_weight
+from rankshap.attribution import kernel_weight, permutation_shapley
+from rankshap.evaluation import StabilityRow, _spawn_seeds
+from rankshap.objectives import ListwiseGame
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 
@@ -306,3 +309,35 @@ def decode_candidate(features: np.ndarray) -> TalentCandidate:
         university=universities[code],
         meets_requirements=features[4] >= 0.5,
     )
+
+
+def stability_curve(group, scorer, objective, pool: np.ndarray, sample_sizes, runs: int,
+                    mode: str, size: int, seed: int) -> list[StabilityRow]:
+    """`evaluation.stability_curve` past its argument checks, for a query of
+    two or more documents and a (p, n) `pool`: one fresh game per run and size,
+    with the independent backgrounds redrawn at every size."""
+    rows = []
+    for n_samples in sample_sizes:
+        run_values = []
+        bg_seeds = _spawn_seeds(seed ^ 0x5AB1E, runs)
+        for run_idx, run_seed in enumerate(_spawn_seeds(seed + n_samples, runs)):
+            if mode == "independent_background":
+                rng = np.random.default_rng(bg_seeds[run_idx])
+                idx = rng.choice(len(pool), size=size, replace=size > len(pool))
+                background = pool[idx]
+            else:
+                background = pool[:size]
+            game = ListwiseGame(group, scorer, objective, background)
+            attr = permutation_shapley(game.value, game.n, background, n_samples, run_seed)
+            run_values.append(attr.values)
+        stacked = np.stack(run_values)
+        std = stacked.std(axis=0, ddof=1)
+        top5 = np.argsort(-np.abs(stacked.mean(axis=0)), kind="stable")[:5]
+        rows.append(
+            StabilityRow(
+                n_samples=n_samples,
+                mean_std_all=float(std.mean()),
+                mean_std_top5=float(std[top5].mean()),
+            )
+        )
+    return rows

@@ -52,25 +52,9 @@ from rankshap.errors import CapacityError, EstimationError
 from rankshap.objectives import ListwiseGame
 
 
-class RowwiseInteractionScorer(InteractionScorer):
-    """InteractionScorer with its linear term summed row by row.
-
-    The base class scores with a BLAS matrix-vector product, whose result for
-    a row depends on the row's place in the batch: equal rows of a fully
-    masked list get unequal scores, so its ties break differently for every
-    batch composition, scalar or batched.
-    """
-
-    def score_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        return (X * self.weights).sum(axis=1) + np.einsum(
-            "ki,ij,kj->k", X, self.pair_weights, X
-        )
-
-
 def make_scorer(rng, n, interaction):
     if interaction:
-        return RowwiseInteractionScorer(rng.normal(size=n), rng.normal(size=(n, n)) * 0.4)
+        return InteractionScorer(rng.normal(size=n), rng.normal(size=(n, n)) * 0.4)
     w = rng.normal(size=n)
     w[rng.random(n) < 0.3] = 0.0
     return LinearScorer(w)

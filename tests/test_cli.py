@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rankshap
-from rankshap import Attribution, cli, evaluation, synthetic
+from rankshap import Attribution, attribution, cli, evaluation, synthetic
 from rankshap.cli import main
 from rankshap.objectives import ListwiseGame
 
@@ -443,13 +443,11 @@ def test_synthetic_unknown_variant_usage_error(tmp_path):
 
 def test_synthetic_bad_method_exit_2_before_any_scenario(tmp_path, capsys):
     out = tmp_path / "s.csv"
-    with mock.patch.object(
-        synthetic, "explain_scenario", wraps=synthetic.explain_scenario
-    ) as explain:
+    with mock.patch.object(synthetic, "ListwiseGame", wraps=ListwiseGame) as game:
         code = main(["synthetic", "--methods", "greedy2,foo", "--out", str(out)])
     assert code == 2
     assert "method 'foo'" in capsys.readouterr().err
-    explain.assert_not_called()
+    game.assert_not_called()
     assert not out.exists()
 
 
@@ -631,3 +629,76 @@ def test_kernel_budget_of_2_to_the_n_runs(tmp_path):
                  "--out", str(out)]) == 0
     meta = json.loads((out / "query_q0.json").read_text())
     assert meta["coalitions_evaluated"] == 2**12
+
+
+def test_evaluate_data_mode_rejects_pred_exit_2(workspace, capsys):
+    tmp, data, scorer = workspace
+    out = tmp / "r.csv"
+    code = main(["evaluate", "--data", str(data), "--scorer", str(scorer),
+                 "--pred", str(tmp / "no" / "such.csv"), "--out", str(out)])
+    assert code == 2
+    assert "--pred" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".jsonl").exists()
+
+
+def test_evaluate_gt_file_mode_rejects_data_and_scorer_exit_2(tmp_path, capsys):
+    gt, out = tmp_path / "gt.csv", tmp_path / "r.csv"
+    Attribution(values=np.array([0.5, 0.2, 0.1]), base_value=0.0).save(gt)
+    for flags in (["--data", "/no/such"], ["--scorer", "/no/such"],
+                  ["--data", "/no/such", "--scorer", "/no/such"]):
+        code = main(["evaluate", "--gt-file", str(gt), "--pred", str(gt), *flags,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
+
+
+def write_queries(path, sizes, qids, n=4, seed=0):
+    """A LETOR file of one query per (size, qid), in order."""
+    rng = np.random.default_rng(seed)
+    path.write_text("".join(
+        f"0 qid:{qid} " + " ".join(f"{k + 1}:{x:.6f}" for k, x in enumerate(rng.normal(size=n)))
+        + "\n"
+        for size, qid in zip(sizes, qids) for _ in range(size)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("command", ["explain", "ground-truth"])
+@pytest.mark.parametrize("qid", ["a/b", "a\\b"])
+def test_qid_with_path_separator_exit_2_before_any_query(tmp_path, capsys, command, qid):
+    data = write_queries(tmp_path / "data.txt", [3, 3], ["ok", qid])
+    scorer = json.dumps({"kind": "linear", "weights": [1.0, -0.5, 0.25, 2.0]})
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "rankingshap_explain") as explain, \
+            mock.patch.object(cli, "estimate_ground_truth") as gt:
+        code = main([command, "--data", str(data), "--scorer", scorer, "--nsamples", "16",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and repr(qid) in err and "path separator" in err
+    explain.assert_not_called()
+    gt.assert_not_called()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "ground-truth", "evaluate"])
+def test_objective_that_misfits_a_later_query_exit_2_before_any_query(tmp_path, capsys, command):
+    # docrank:4 fits the 6-document query but not the 3-document one after it;
+    # the single-document query has no objective.
+    data = write_queries(tmp_path / "data.txt", [6, 1, 3], ["big", "one", "small"])
+    scorer = json.dumps({"kind": "linear", "weights": [1.0, -0.5, 0.25, 2.0]})
+    out = tmp_path / "out.csv"
+    with mock.patch.object(evaluation, "exact_shapley") as exact, \
+            mock.patch.object(attribution, "kernel_shap") as kernel, \
+            mock.patch.object(evaluation, "permutation_shapley") as perm:
+        code = main([command, "--data", str(data), "--scorer", scorer,
+                     "--objective", "docrank:4", "--nsamples", "16", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'docrank:4'" in err and "'small'" in err and "'big'" not in err
+    exact.assert_not_called()
+    kernel.assert_not_called()
+    perm.assert_not_called()
+    assert not out.exists() and not out.with_suffix(".jsonl").exists()

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import oracles
 from conftest import InteractionScorer, make_group, make_linear_instance
 from rankshap import (
     BackgroundSet,
@@ -100,6 +101,16 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             estimate_ground_truth(group, scorer, objective, background, 16, runs=1)
 
+    def test_runs_share_one_game(self):
+        group, scorer, objective, background = make_linear_instance(4, 3, seed=31)
+        with mock.patch.object(evaluation, "_permutation_runs",
+                               wraps=evaluation._permutation_runs) as runs:
+            estimate_ground_truth(group, scorer, objective, background, 16, runs=3, seed=2)
+        (call,) = runs.call_args_list
+        games, n_samples, seed = call.args
+        assert len(games) == 3 and all(game is games[0] for game in games)
+        assert (n_samples, seed) == (16, 2)
+
 
 class TestStabilityCurve:
     @staticmethod
@@ -174,6 +185,37 @@ class TestStabilityCurve:
         backgrounds = [c.args[3] for c in game.call_args_list]
         assert [len(b) for b in backgrounds] == [9, 9]
         assert all(len({row.tobytes() for row in b}) <= 6 for b in backgrounds)
+
+
+    @pytest.mark.parametrize("sizes", [[64], [16, 64, 256]])
+    @pytest.mark.parametrize("mode, games", [("same_background", 1),
+                                             ("independent_background", 3)])
+    def test_builds_each_game_once(self, mode, games, sizes):
+        group, scorer, objective, pool = self._instance()
+        with mock.patch.object(evaluation, "ListwiseGame", wraps=ListwiseGame) as game, \
+                mock.patch.object(evaluation, "_permutation_runs",
+                                  wraps=evaluation._permutation_runs) as runs:
+            stability_curve(group, scorer, objective, pool, sizes, runs=3, mode=mode,
+                            background_size=10)
+        assert game.call_count == games
+        assert runs.call_count == len(sizes)
+
+    @pytest.mark.parametrize("mode, background_size", [
+        ("same_background", None), ("same_background", 10),
+        ("independent_background", None), ("independent_background", 10),
+        ("independent_background", 60),
+    ])
+    def test_matches_the_per_size_oracle_bit_for_bit(self, mode, background_size):
+        group, scorer, objective, pool = self._instance()
+        sizes = [16, 64, 256]
+        rows = stability_curve(group, scorer, objective, pool, sizes, runs=3, mode=mode,
+                               background_size=background_size, seed=7)
+        size = len(pool) if background_size is None else background_size
+        expected = oracles.stability_curve(group, scorer, objective, pool.vectors, sizes, 3,
+                                           mode, size, 7)
+        assert [(r.n_samples, r.mean_std_all.hex(), r.mean_std_top5.hex()) for r in rows] == [
+            (r.n_samples, r.mean_std_all.hex(), r.mean_std_top5.hex()) for r in expected
+        ]
 
 
 class TestRunBenchmark:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import InteractionScorer
 from rankshap import (
     LinearScorer,
     Scorer,
@@ -59,17 +60,20 @@ def test_linear_scorer_batch_matches_scalar(rng):
     n=st.integers(1, 150),
     k=st.integers(1, 40),
     position=st.integers(0, 40),
-    talent=st.booleans(),
+    kind=st.sampled_from(["linear", "talent", "interaction"]),
 )
-def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, talent):
+def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
     # The Scorer.score_batch contract, which background means rely on when
-    # they score each distinct background row once.
+    # they score each distinct background row once; the tests' interaction
+    # fixture keeps it too.
     rng = np.random.default_rng(seed)
-    if talent:
+    if kind == "talent":
         scorer = TalentScorer(("biased", "unbiased")[seed % 2])
         X = sample_talent_background(k + 1, seed).vectors
     else:
-        scorer = LinearScorer(rng.normal(size=n))
+        weights = rng.normal(size=n)
+        scorer = (LinearScorer(weights) if kind == "linear"
+                  else InteractionScorer(weights, rng.normal(size=(n, n))))
         X = rng.normal(size=(k + 1, n))
     alone = np.concatenate([scorer.score_batch(row[None, :]) for row in X])
     assert scorer.score_batch(X).tobytes() == alone.tobytes()

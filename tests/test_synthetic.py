@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rankshap import (
     run_synthetic,
     sample_talent_background,
 )
+from rankshap import synthetic
 from rankshap.objectives import ListwiseGame
 from rankshap.synthetic import SCENARIO_MEMBERS, explain_scenario
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
@@ -111,3 +114,50 @@ def test_explain_scenario_greedy_readings():
         ("greedy2_marg", result.attributions_marg),
     ]:
         np.testing.assert_array_equal(explain_scenario(scen, "biased", method, bg), expected)
+
+
+ALL_KINDS = ("rankingshap", "pointwise", "greedy1", "greedy2", "greedy3_marg", "greedy5_iter",
+             "random")
+
+
+def test_run_synthetic_builds_one_game_per_scenario_and_one_scorer():
+    with mock.patch.object(synthetic, "ListwiseGame", wraps=ListwiseGame) as game, \
+            mock.patch.object(synthetic, "TalentScorer", wraps=TalentScorer) as scorer:
+        run_synthetic("biased", ALL_KINDS, background_size=10)
+    assert game.call_count == len(SCENARIO_MEMBERS)
+    assert scorer.call_count == 1
+
+
+def test_greedy_reads_the_table_of_exact_rankingshap():
+    rows = {}
+    run_method = synthetic._run_method
+
+    def counted(method, *args, **kwargs):
+        before = sum(len(c.args[1]) for c in score.call_args_list)
+        values = run_method(method, *args, **kwargs)
+        after = sum(len(c.args[1]) for c in score.call_args_list)
+        rows[method.kind] = rows.get(method.kind, 0) + after - before
+        return values
+
+    with mock.patch.object(TalentScorer, "score_batch", autospec=True,
+                           side_effect=TalentScorer.score_batch) as score, \
+            mock.patch.object(synthetic, "_run_method", counted):
+        run_synthetic("biased", ("rankingshap", "greedy2"), background_size=10)
+    assert rows["rankingshap"] > 0
+    assert rows["greedy"] == 0
+
+
+@pytest.mark.parametrize("variant", ["biased", "unbiased"])
+def test_run_synthetic_matches_a_fresh_game_per_method(variant):
+    run_method = synthetic._run_method
+
+    def fresh(method, group, game, background, cfg, seed, greedy_results, **kwargs):
+        own = ListwiseGame(group, game.scorer, game.objective, background)
+        return run_method(method, group, own, background, cfg, seed, {}, **kwargs)
+
+    rows = run_synthetic(variant, ALL_KINDS, background_size=20, seed=3)
+    with mock.patch.object(synthetic, "_run_method", fresh):
+        expected = run_synthetic(variant, ALL_KINDS, background_size=20, seed=3)
+    assert [dict(r, phi=r["phi"].hex()) for r in rows] == [
+        dict(r, phi=r["phi"].hex()) for r in expected
+    ]
