@@ -4,12 +4,14 @@ Estimators take a value function v(S, b), where S is the set of visible
 feature indices and b one background vector. Expectations over the background
 set are always full means, so the exact estimator is deterministic.
 
-All three estimators evaluate their coalitions in chunks through a batched
-`values(visible, rows)`. When `value_fn` is the bound `value` of a game that
-also has `values`, that is the game's `values`; any other `value_fn` is
-lifted to it one coalition at a time. A `mean_value_fn(S)` given to the exact
-or kernel estimator is called once per coalition instead. Otherwise, exact
-enumeration of a game's bound `value` on its own background reads `game.table()`.
+Each estimator plays the `CoalitionGame` that `_as_game` makes of its
+arguments: exact enumeration reads its `table()`, the kernel its `means` and
+permutation sampling its batched `values`. When `value_fn` is a game's bound
+`value` on that game's own background, that is the game itself, whose table
+is kept; otherwise a game over the given background evaluates through the
+bound game's `values`, or lifts `value_fn` one coalition and row at a time.
+A `mean_value_fn(S)` given to the exact or kernel estimator is called once
+per coalition instead.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup, background_array
 from .errors import EstimationError
-from .masking import (chunk_size, coalition_means, coalition_table, coalition_to_template,
-                      distinct_rows)
-from .objectives import ListwiseGame, ListwiseObjective, reference_ranking
+# Nothing here calls coalition_to_template; perfbench's tracer patches this
+# module's name for it.
+from .masking import chunk_size, coalition_to_template, distinct_rows
+from .objectives import CoalitionGame, ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
 
@@ -171,40 +174,42 @@ def estimator_meta(estimator: str, n_samples: int, background_size: int, seed: i
     }
 
 
-def _game_of(value_fn: ValueFn):
-    """The game whose bound `value` is `value_fn`, or None."""
+def _members(visible: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(visible).tolist())
+
+
+class _GameOver(CoalitionGame):
+    """A game over a given background that evaluates through `values`; its
+    `means` call `mean_value_fn(S)` once per coalition instead, unless None."""
+
+    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
+        super().__init__(n, B)
+        self.values = values
+        self._mean_value_fn = mean_value_fn
+
+    def means(self, visible: np.ndarray) -> np.ndarray:
+        if self._mean_value_fn is None:
+            return super().means(visible)
+        return np.array([self._mean_value_fn(_members(v)) for v in visible])
+
+
+def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> CoalitionGame:
+    """The game whose bound `value` is `value_fn`, when B has that game's
+    background bytes and no `mean_value_fn` is given; otherwise a game over B
+    that evaluates through that game's `values`, or through `value_fn` lifted
+    one coalition and row at a time."""
     game = getattr(value_fn, "__self__", None)
-    return game if value_fn == getattr(game, "value", None) else None
-
-
-def _batched(value_fn: ValueFn) -> ValuesFn:
-    """The `values` of the game whose bound `value` is `value_fn`, else the
-    scalar `value_fn` lifted to values(visible, rows)."""
-    game = _game_of(value_fn)
-    if hasattr(game, "values"):
-        return game.values
+    if isinstance(game, CoalitionGame) and value_fn == game.value:
+        if (mean_value_fn is None and game.n == n and B.shape == game.background.shape
+                and B.tobytes() == game.background.tobytes()):
+            return game
+        return _GameOver(n, B, game.values, mean_value_fn)
 
     def values(visible, rows):
-        return np.array(
-            [value_fn(tuple(np.flatnonzero(v).tolist()), b) for v, b in zip(visible, rows)]
-        )
+        visible = np.broadcast_to(visible, (len(rows), n))
+        return np.array([value_fn(_members(v), b) for v, b in zip(visible, rows)])
 
-    return values
-
-
-def _coalition_means(
-    visible: np.ndarray,
-    distinct: np.ndarray,
-    inverse: np.ndarray,
-    value_fn: ValueFn,
-    mean_value_fn=None,
-) -> np.ndarray:
-    """Background mean of v(S, b) for each coalition row of the (c, n) boolean
-    `visible`: one `mean_value_fn` call per coalition if given, else
-    `masking.coalition_means` over `_batched(value_fn)`."""
-    if mean_value_fn is not None:
-        return np.array([mean_value_fn(tuple(np.flatnonzero(v).tolist())) for v in visible])
-    return coalition_means(_batched(value_fn), visible, distinct, inverse)
+    return _GameOver(n, B, values, mean_value_fn)
 
 
 def exact_shapley(
@@ -216,16 +221,7 @@ def exact_shapley(
 ) -> Attribution:
     """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
     B = background_array(background)
-    game = _game_of(value_fn)
-    if (mean_value_fn is None and hasattr(game, "table") and game.n == n
-            and B.shape == game.background.shape and B.tobytes() == game.background.tobytes()):
-        V = game.table()
-    else:
-        distinct, inverse = distinct_rows(B)
-        V = coalition_table(
-            lambda rows: _coalition_means(rows, distinct, inverse, value_fn, mean_value_fn),
-            n, len(distinct),
-        )
+    V = _as_game(value_fn, n, B, mean_value_fn).table()
     masks = np.arange(1 << n, dtype=np.uint32)
     sizes = sum((masks >> i) & 1 for i in range(n))
     w = np.array([shapley_weight(n, s) for s in range(n)])
@@ -255,7 +251,7 @@ def permutation_shapley(
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     B = background_array(background)
-    evaluate = _batched(value_fn)
+    evaluate = _as_game(value_fn, n, B).values
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
     base_sum = 0.0
@@ -353,11 +349,7 @@ def kernel_shap(
         raise ValueError(f"kernel estimator needs n_samples >= 2, got {n_samples}")
     check_kernel_budget(n, n_samples)
     B = background_array(background)
-    distinct, inverse = distinct_rows(B)
-
-    def means(visible):
-        return _coalition_means(visible, distinct, inverse, value_fn, mean_value_fn)
-
+    means = _as_game(value_fn, n, B, mean_value_fn).means
     base, v_full = means(np.array([[False] * n, [True] * n])).tolist()
     delta = v_full - base
     if n == 1:
@@ -415,25 +407,18 @@ def rankingshap_explain(
     return attr
 
 
-class _PointwiseGame:
-    """Scalar coalition game on one document's model score."""
+class _PointwiseGame(CoalitionGame):
+    """Coalition game on one document's model score."""
 
     def __init__(self, x: np.ndarray, scorer: Scorer, B: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.scorer = scorer
-        self.B = B
-        self.n = len(self.x)
+        self.B = B  # perfbench's tracer reads it
+        super().__init__(len(self.x), B)
 
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Scores of x masked by each (visible[i], rows[i]) pair."""
         return self.scorer.score_batch(np.where(visible, self.x, rows))
-
-    def value(self, visible, b: np.ndarray) -> float:
-        t = coalition_to_template(visible, self.n)
-        return float(self.values(t == 0, np.asarray(b, dtype=float)[None, :])[0])
-
-    def mean_value(self, visible) -> float:
-        return float(self.values(coalition_to_template(visible, self.n) == 0, self.B).mean())
 
 
 def pointwise_shap_explain(

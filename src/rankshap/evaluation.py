@@ -25,6 +25,7 @@ from .attribution import (
 from .baselines import greedy_attribution, random_attribution
 from .data import BackgroundSet, QueryGroup, background_array, sample_background
 from .errors import DimensionError
+from .masking import check_exact_width
 from .objectives import ListwiseGame, ListwiseObjective, make_objective, reference_ranking
 from .rankers import Scorer
 
@@ -317,6 +318,8 @@ def run_benchmark(
     methods = parse_methods(methods, n)
     if cfg.kind == "kernel":
         check_kernel_budget(n, cfg.n_samples)
+    if "exact" in (cfg.kind, gt_source):
+        check_exact_width(n)
     ks = tuple(k for k in ks if k <= n)
     per_query = []
     skipped = 0

@@ -22,6 +22,12 @@ EXACT_MAX_N = 20
 MASK_BUDGET_BYTES = 256 * 1024
 
 
+def check_exact_width(n: int) -> None:
+    """Raise CapacityError when 2^n coalitions are too many to enumerate."""
+    if n > EXACT_MAX_N:
+        raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
+
+
 def chunk_size(item_bytes: int, group: int = 1) -> int:
     """Items per chunk: whole groups of `group` items within MASK_BUDGET_BYTES,
     and at least one group."""
@@ -43,37 +49,6 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     return rows[first[order]], position[inverse.ravel()]
-
-
-def coalition_means(values, visible, distinct, inverse) -> np.ndarray:
-    """Background mean of `values(visible, rows)` per row of the (c, n) boolean
-    `visible`, tiled over the background's `distinct_rows` in chunks within
-    MASK_BUDGET_BYTES of rows and read back in background order."""
-    k, n = distinct.shape
-    out = np.empty(len(visible))
-    step = chunk_size(k * n * 8)
-    for lo in range(0, len(visible), step):
-        vis = visible[lo:lo + step]
-        c = len(vis)
-        vals = values(np.repeat(vis, k, axis=0), np.tile(distinct, (c, 1))).reshape(c, k)
-        # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
-        # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
-        # and sums in another order.
-        out[lo:lo + c] = np.take(vals, inverse, axis=1).mean(axis=1)
-    return out
-
-
-def coalition_table(means, n: int, k: int) -> np.ndarray:
-    """`means(visible)` of all 2^n coalitions by bitmask (bit i set: feature i visible),
-    in chunks within MASK_BUDGET_BYTES over k background rows; CapacityError above EXACT_MAX_N."""
-    if n > EXACT_MAX_N:
-        raise CapacityError(f"exact enumeration needs n <= {EXACT_MAX_N}, got n={n}")
-    table = np.empty(1 << n)
-    step = chunk_size(k * n * 8)
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)[:, None]
-        table[lo:lo + step] = means((masks >> np.arange(n, dtype=np.uint32)) & 1 != 0)
-    return table
 
 
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Listwise explanation objectives and the listwise coalition game.
+"""Listwise explanation objectives and the coalition games played on masked rows.
 
 An objective reduces a perturbed ranking to one scalar similarity against the
 model's unperturbed reference ranking. All variants take their maximum 1.0 at
@@ -13,8 +13,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup, background_array
 from .errors import DimensionError
-from .masking import (chunk_size, coalition_means, coalition_table, coalition_to_template,
-                      distinct_rows)
+from .masking import check_exact_width, chunk_size, coalition_to_template, distinct_rows
 from .rankers import Scorer, rank, rank_many
 
 
@@ -168,29 +167,86 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
     raise ValueError(f"unknown objective spec {spec!r}")
 
 
-class ListwiseGame:
-    """Coalition game for one query: v(S, b) evaluated in batches by `values`.
+class CoalitionGame:
+    """Coalition game v(S, b) over a background, evaluated in batches by `values`.
 
-    `means` (many coalitions) and `mean_value` (one, in one scorer batch)
-    evaluate each distinct background row once and average the values over
-    the whole background; `value` wraps `values` for one coalition and row.
-    Once `table` has evaluated every coalition, `means` and `mean_value` read it.
+    A subclass implements `values`. `means` (many coalitions) and `mean_value`
+    (one, in one `values` call) evaluate each distinct background row once and
+    average the values over the whole background; `value` wraps `values` for
+    one coalition and row. Once `table` has evaluated every coalition, `means`
+    and `mean_value` read it.
     """
+
+    def __init__(self, n: int, background: BackgroundSet | np.ndarray):
+        self.n = n
+        self.background = background_array(background)
+        self._distinct, self._inverse = distinct_rows(self.background)
+        self._table = None
+
+    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """v of k coalitions, one per row of the (k, n) boolean `visible` (or a
+        single row for all k) and of the (k, n) background `rows`."""
+        raise NotImplementedError
+
+    def _visible(self, visible) -> np.ndarray:
+        return coalition_to_template(visible, self.n)[None, :] == 0
+
+    def value(self, visible, b: np.ndarray) -> float:
+        return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
+
+    def table(self) -> np.ndarray:
+        """Read-only `means` of all 2^n coalitions by bitmask (bit i set: feature
+        i visible), evaluated on the first call in chunks within
+        MASK_BUDGET_BYTES; CapacityError above EXACT_MAX_N."""
+        if self._table is None:
+            n = self.n
+            check_exact_width(n)
+            table = np.empty(1 << n)
+            step = chunk_size(len(self._distinct) * n * 8)
+            for lo in range(0, 1 << n, step):
+                masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)[:, None]
+                table[lo:lo + step] = self.means((masks >> np.arange(n, dtype=np.uint32)) & 1 != 0)
+            table.flags.writeable = False
+            self._table = table
+        return self._table
+
+    def means(self, visible: np.ndarray) -> np.ndarray:
+        """Background mean of v(S, .) for each row of the (c, n) boolean `visible`,
+        tiled over the distinct background rows in chunks within
+        MASK_BUDGET_BYTES of rows and read back in background order."""
+        if self._table is not None:
+            return self._table[visible @ (1 << np.arange(self.n))]
+        k, n = self._distinct.shape
+        out = np.empty(len(visible))
+        step = chunk_size(k * n * 8)
+        for lo in range(0, len(visible), step):
+            vis = visible[lo:lo + step]
+            c = len(vis)
+            vals = self.values(np.repeat(vis, k, axis=0), np.tile(self._distinct, (c, 1)))
+            # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
+            # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
+            # and sums in another order.
+            out[lo:lo + c] = np.take(vals.reshape(c, k), self._inverse, axis=1).mean(axis=1)
+        return out
+
+    def mean_value(self, visible) -> float:
+        if self._table is not None:
+            return float(self.means(self._visible(visible))[0])
+        return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())
+
+
+class ListwiseGame(CoalitionGame):
+    """Coalition game for one query: v(S, b) is the objective of the masked list."""
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
                  background: BackgroundSet | np.ndarray):
         self.X = group.feature_matrix()
         self.scorer = scorer
         self.objective = objective
-        self.background = background_array(background)
-        if self.background.shape[1] != self.X.shape[1]:
-            raise DimensionError(
-                f"background dim {self.background.shape[1]} != feature dim {self.X.shape[1]}"
-            )
-        self.n = self.X.shape[1]
-        self.m = self.X.shape[0]
-        self._distinct, self._inverse = distinct_rows(self.background)
-        self._table = None
+        self.m, n = self.X.shape
+        super().__init__(n, background)
+        if self.background.shape[1] != n:
+            raise DimensionError(f"background dim {self.background.shape[1]} != feature dim {n}")
 
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Objective values of k masked lists, one per row of the (k, n) `rows`.
@@ -214,27 +270,3 @@ class ListwiseGame:
             perms = rank_many(scores.reshape(len(B), self.m))
             out[lo:lo + len(B)] = self.objective.evaluate_many(perms)
         return out
-
-    def _visible(self, visible) -> np.ndarray:
-        return coalition_to_template(visible, self.n)[None, :] == 0
-
-    def value(self, visible, b: np.ndarray) -> float:
-        return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
-
-    def table(self) -> np.ndarray:
-        """Read-only `coalition_table` of `means`, evaluated on the first call."""
-        if self._table is None:
-            self._table = coalition_table(self.means, self.n, len(self._distinct))
-            self._table.flags.writeable = False
-        return self._table
-
-    def means(self, visible: np.ndarray) -> np.ndarray:
-        """Background mean of v(S, .) for each row of the (c, n) boolean `visible`."""
-        if self._table is not None:
-            return self._table[visible @ (1 << np.arange(self.n))]
-        return coalition_means(self.values, visible, self._distinct, self._inverse)
-
-    def mean_value(self, visible) -> float:
-        if self._table is not None:
-            return float(self.means(self._visible(visible))[0])
-        return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())

@@ -37,9 +37,10 @@ class InteractionScorer(Scorer):
     """Linear score plus pairwise interaction terms; background-sensitive
     under listwise masking, unlike a purely linear scorer.
 
-    The linear term is summed row by row, as in `LinearScorer`: a BLAS
-    matrix-vector product would make a row's score depend on its place in the
-    batch, against the `Scorer` contract.
+    Both terms are summed row by row, as in `LinearScorer`: a BLAS
+    matrix-vector product, or an einsum over the pair products, would make a
+    row's score depend on its place in the batch, against the `Scorer`
+    contract.
     """
 
     def __init__(self, weights, pair_weights):
@@ -49,9 +50,8 @@ class InteractionScorer(Scorer):
 
     def score_batch(self, X):
         X = np.asarray(X, dtype=float)
-        return (X * self.weights).sum(axis=1) + np.einsum(
-            "ki,ij,kj->k", X, self.pair_weights, X
-        )
+        pairs = X[:, :, None] * self.pair_weights * X[:, None, :]
+        return (X * self.weights).sum(axis=1) + pairs.reshape(len(X), -1).sum(axis=1)
 
 
 def brute_force_shapley(vtilde, n):

@@ -1,21 +1,25 @@
 """The batched game path gives bitwise the same results as the scalar path.
 
-`ListwiseGame.values` evaluates many coalitions per scorer call, cut into
-chunks of MASK_BUDGET_BYTES. An estimator given the bound `game.value`
-evaluates through it; any other value function is lifted one coalition at a
-time, and a `mean_value_fn` is called once per coalition. The exact and
-permutation estimators fed by `game.value` must match, bit for bit, the same
-estimators fed by a wrapper of `game.value` or by `game.mean_value`, for
-every chunking; so must the kernel estimator fed by `game.value`, and the
-pointwise kernel, which evaluates its coalitions through
-`_PointwiseGame.values`. Greedy selection,
-which evaluates each step's candidates in one `ListwiseGame.means` call, must
-walk as the one-coalition oracle does. Background means evaluate each
-distinct background row once; with repeated rows they must match a mean that
-evaluates every row. `run_benchmark` shares one game per query, whose
-coalition table the exact ground truth fills and the kernel and greedy read:
-its records must match a run that gives each method a fresh game, and the
-exact estimator reads a table only for the game's own background.
+Every estimator plays the `CoalitionGame` that `attribution._as_game` makes
+of its arguments: the game itself when `value_fn` is its bound `value` on its
+own background, else a game that evaluates through the bound game's `values`
+or lifts any other value function one coalition at a time, and whose `means`
+call a given `mean_value_fn` once per coalition. `ListwiseGame.values`
+evaluates many coalitions per scorer call, cut into chunks of
+MASK_BUDGET_BYTES. The exact and permutation estimators fed by `game.value`
+must match, bit for bit, the same estimators fed by a wrapper of
+`game.value` or by `game.mean_value`, for every chunking; so must the kernel
+estimator fed by `game.value`, and the pointwise kernel, which evaluates its
+coalitions through `_PointwiseGame.values`. Greedy selection, which
+evaluates each step's candidates in one `ListwiseGame.means` call, must walk
+as the one-coalition oracle does. Background means evaluate each distinct
+background row once; with repeated rows they must match a mean that
+evaluates every row, for the listwise and the pointwise game. A game's
+coalition table, once filled, serves every later exact estimate on that game.
+`run_benchmark` shares one game per query, whose coalition table the exact
+ground truth fills and the kernel and greedy read: its records must match a
+run that gives each method a fresh game, and the exact estimator reads a
+table only for the game's own background.
 """
 
 import functools
@@ -158,23 +162,12 @@ def test_kernel_value_fn_is_tiled_in_budget_chunks():
     # Without mean_value_fn the kernel tiles its coalitions over the
     # background; each tiled batch stays within the mask budget.
     game, background = make_game(6, 3, 4, 2, interaction=False)
-    lifted = attribution._batched
-    rows_per_call = []
-
-    def recording(value_fn):
-        values = lifted(value_fn)
-
-        def record(visible, rows):
-            rows_per_call.append(len(rows))
-            return values(visible, rows)
-
-        return record
-
     budget = 3 * len(background.vectors) * game.n * 8  # three coalitions
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        attribution, "_batched", recording
-    ):
+        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
+    ) as values:
         attr = kernel_shap(game.value, game.n, background, 40, 0)
+    rows_per_call = [len(call.args[2]) for call in values.call_args_list]
     assert max(rows_per_call) == 3 * len(background.vectors)
     assert sum(rows_per_call) == attr.meta["coalitions_evaluated"] * len(background.vectors)
 
@@ -248,6 +241,18 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
 
         assert_same(estimate(game.value, mean_value_fn=mean_value), bound)
         assert len(calls) == coalitions
+
+
+def test_pointwise_exact_rerun_reads_the_games_table():
+    group, scorer, background = make_pointwise_instance(6, 4, 5, 0, talent=False)
+    game = _PointwiseGame(group.documents[0].features, scorer, background.vectors)
+    first = exact_shapley(game.value, game.n, background)
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+        again = exact_shapley(game.value, game.n, background)
+        mean = game.mean_value((0, 3))
+    assert score.call_count == 0
+    assert_same(again, first)
+    assert mean == oracles.pointwise_mean(scorer, game.x, (0, 3), background.vectors)
 
 
 def test_mean_value_is_one_scorer_call_over_budget():
@@ -440,16 +445,22 @@ def test_repeated_background_rows_match_full_evaluation(seed, interaction):
         )
         assert_same(rankingshap_explain(group, scorer, objective, background, cfg), expected)
 
-    cfg = EstimatorConfig(kind="kernel", n_samples=n_samples, seed=seed)
-    pointwise = np.zeros(n)
-    for doc in reference_ranking(group, scorer)[:5]:
-        x = group.documents[int(doc)].features
-        pointwise += kernel_shap(
-            None, n, background, n_samples, seed,
-            mean_value_fn=lambda visible: oracles.pointwise_mean(scorer, x, visible, B),
-        ).values
-    attr = pointwise_shap_explain(group, scorer, background, cfg)
-    assert attr.values.tobytes() == (pointwise / 5).tobytes()
+    for kind in ("exact", "kernel"):
+        cfg = EstimatorConfig(kind=kind, n_samples=n_samples, seed=seed)
+        pointwise = np.zeros(n)
+        for doc in reference_ranking(group, scorer)[:5]:
+            x = group.documents[int(doc)].features
+
+            def mean_value(visible):
+                return oracles.pointwise_mean(scorer, x, visible, B)
+
+            pointwise += (
+                exact_shapley(None, n, background, mean_value_fn=mean_value)
+                if kind == "exact"
+                else kernel_shap(None, n, background, n_samples, seed, mean_value_fn=mean_value)
+            ).values
+        attr = pointwise_shap_explain(group, scorer, background, cfg)
+        assert attr.values.tobytes() == (pointwise / 5).tobytes()
 
     greedy = greedy_attribution(ListwiseGame(group, scorer, objective, background), 3)
     expected = oracles.greedy_select(listwise, n, 3)

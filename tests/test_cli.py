@@ -220,6 +220,30 @@ def test_evaluate_small_budget_exit_2_before_ground_truth(tmp_path, capsys, esti
     assert not out.exists() and not out.with_suffix(".jsonl").exists()
 
 
+def test_evaluate_exact_estimator_above_exact_max_n_exit_2_before_ground_truth(tmp_path, capsys):
+    n = rankshap.masking.EXACT_MAX_N + 2
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(
+        f"0 qid:q{q} " + " ".join(f"{k + 1}:{x:.6f}" for k, x in enumerate(rng.normal(size=n)))
+        + "\n"
+        for q in range(2) for _ in range(4)
+    ))
+    scorer = json.dumps({"kind": "linear", "weights": [1.0] * n})
+    out = tmp_path / "r.csv"
+    with mock.patch.object(evaluation, "estimate_ground_truth") as gt:
+        code = main([
+            "evaluate", "--data", str(data), "--scorer", scorer, "--gt", "estimated",
+            "--estimator", "exact", "--out", str(out),
+        ])
+    assert code == 2
+    assert f"exact enumeration needs n <= {rankshap.masking.EXACT_MAX_N}, got n={n}" in (
+        capsys.readouterr().err
+    )
+    gt.assert_not_called()
+    assert not out.exists() and not out.with_suffix(".jsonl").exists()
+
+
 @pytest.mark.parametrize("methods, name", [
     ("foo", "foo"), ("greedy", "greedy"), ("greedyx", "greedyx"), ("greedy0", "greedy0"),
     ("greedy13", "greedy13"), ("greedy2_foo", "greedy2_foo"),

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InteractionScorer
@@ -62,6 +62,8 @@ def test_linear_scorer_batch_matches_scalar(rng):
     position=st.integers(0, 40),
     kind=st.sampled_from(["linear", "talent", "interaction"]),
 )
+# An einsum pair term sums the 2 x 2 products in an order that depends on the batch.
+@example(seed=0, n=2, k=35, position=0, kind="interaction")
 def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
     # The Scorer.score_batch contract, which background means rely on when
     # they score each distinct background row once; the tests' interaction
