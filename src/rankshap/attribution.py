@@ -184,7 +184,7 @@ class _GameOver(CoalitionGame):
 
     def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
         super().__init__(n, B)
-        self.values = values
+        self._values = values
         self._mean_value_fn = mean_value_fn
 
     def means(self, visible: np.ndarray) -> np.ndarray:
@@ -375,8 +375,10 @@ def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
         return exact_shapley(game.value, game.n, background)
     if cfg.kind == "permutation":
         return permutation_shapley(game.value, game.n, background, cfg.n_samples, cfg.seed)
-    # The listwise kernel stays on mean_value: perfbench counts its game calls only there.
-    mean_value_fn = game.mean_value if isinstance(game, ListwiseGame) else None
+    # The listwise kernel stays on mean_value while the game has no table:
+    # perfbench counts its game calls only there. A filled table is read in one batch.
+    listwise = isinstance(game, ListwiseGame) and game._table is None
+    mean_value_fn = game.mean_value if listwise else None
     return kernel_shap(
         game.value, game.n, background, cfg.n_samples, cfg.seed, mean_value_fn=mean_value_fn
     )
@@ -414,9 +416,9 @@ class _PointwiseGame(CoalitionGame):
         self.x = np.asarray(x, dtype=float)
         self.scorer = scorer
         self.B = B  # perfbench's tracer reads it
-        super().__init__(len(self.x), B)
+        super().__init__(len(self.x), B, scorer, self.x)
 
-    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Scores of x masked by each (visible[i], rows[i]) pair."""
         return self.scorer.score_batch(np.where(visible, self.x, rows))
 

@@ -42,13 +42,21 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are keyed by their bytes, so -0.0 and 0.0 stay apart: `np.unique`
     with `axis=0` compares them as equal floats and would merge them.
     """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    first, inverse = first_rows(rows)
+    return np.asarray(rows)[first], inverse
+
+
+def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`distinct_rows` as the index of each distinct row's first occurrence."""
+    keys = np.ascontiguousarray(keys)
+    if keys.shape[1] == 0:  # one empty key for every row
+        return np.arange(min(len(keys), 1)), np.zeros(len(keys), dtype=np.intp)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    return rows[first[order]], position[inverse.ravel()]
+    return first[order], position[inverse.ravel()]
 
 
 def coalition_to_template(visible: Iterable[int], n: int) -> np.ndarray:

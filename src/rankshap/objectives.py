@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import BackgroundSet, QueryGroup, background_array
 from .errors import DimensionError
-from .masking import check_exact_width, chunk_size, coalition_to_template, distinct_rows
+from .masking import check_exact_width, chunk_size, coalition_to_template, first_rows
 from .rankers import Scorer, rank, rank_many
 
 
@@ -170,23 +170,66 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
 class CoalitionGame:
     """Coalition game v(S, b) over a background, evaluated in batches by `values`.
 
-    A subclass implements `values`. `means` (many coalitions) and `mean_value`
-    (one, in one `values` call) evaluate each distinct background row once and
-    average the values over the whole background; `value` wraps `values` for
-    one coalition and row. Once `table` has evaluated every coalition, `means`
-    and `mean_value` read it.
+    A subclass implements `_values`, one value per (coalition, row) pair.
+    `means` (many coalitions) and `mean_value` (one, in one `_values` call)
+    evaluate each distinct background row once and average the values over
+    the whole background; `value` wraps `values` for one coalition and row.
+    Once `table` has evaluated every coalition, `means` and `mean_value` read it.
+
+    Given the `scorer` and the rows it scores, the game plays only the columns
+    in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
+    row) pairs on them and evaluates one of each key. An unread column can
+    still make a zero score -0.0 (x * 0.0 for negative x) or NaN (infinite x),
+    so it is played unless its values are finite and, where a value is a
+    score, of one sign. Every output keeps the bytes of the full game.
     """
 
-    def __init__(self, n: int, background: BackgroundSet | np.ndarray):
+    _signed = True  # whether a value keeps the sign of a zero score; a ranking does not
+
+    def __init__(self, n: int, background: BackgroundSet | np.ndarray,
+                 scorer: Scorer | None = None, rows: np.ndarray | None = None):
         self.n = n
         self.background = background_array(background)
-        self._distinct, self._inverse = distinct_rows(self.background)
+        self._played, self._away = np.arange(n), np.arange(0)
+        if scorer is not None:
+            self._play(scorer, rows)
+        first, self._inverse = first_rows(self.background[:, self._played])
+        self._distinct = self.background[first]
         self._table = None
 
-    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _play(self, scorer: Scorer, rows: np.ndarray) -> None:
+        n = self.n
+        if self.background.shape[1] != n:
+            raise DimensionError(f"background dim {self.background.shape[1]} != feature dim {n}")
+        reads = np.asarray(scorer.reads(n))
+        if reads.ndim != 1 or reads.size and (reads.dtype.kind not in "iu" or reads[0] < 0
+                                              or reads[-1] >= n or (np.diff(reads) <= 0).any()):
+            raise ValueError(f"scorer {scorer.name}: reads({n}) must be strictly increasing"
+                             f" feature indices in [0, {n}), got {reads.tolist()}")
+        rows = np.vstack([rows, self.background])
+        sign = np.signbit(rows)
+        away = np.isfinite(rows).all(axis=0) & (sign.all(axis=0) | ~sign.any(axis=0)
+                                                | (not self._signed))
+        away[reads] = False
+        self._played, self._away = np.flatnonzero(~away), np.flatnonzero(away)
+        self._away_sign = sign[0, away]
+
+    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """v of k coalitions, one per row of the (k, n) boolean `visible` (or a
         single row for all k) and of the (k, n) background `rows`."""
         raise NotImplementedError
+
+    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """`_values` of one pair per key of the played columns, unless the other
+        columns of `rows` are unlike the game's own: not finite, or in a signed
+        game not of their signs."""
+        P, away = self._played, rows[:, self._away]
+        if len(P) == self.n or len(rows) < 2 or not np.isfinite(away).all() or (
+                self._signed and (np.signbit(away) != self._away_sign).any()):
+            return self._values(visible, rows)
+        visible = np.broadcast_to(visible, rows.shape)
+        first, inverse = first_rows(np.concatenate([visible[:, P], rows[:, P]], axis=1))
+        return self._values(visible[first], rows[first])[inverse]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0
@@ -197,15 +240,24 @@ class CoalitionGame:
     def table(self) -> np.ndarray:
         """Read-only `means` of all 2^n coalitions by bitmask (bit i set: feature
         i visible), evaluated on the first call in chunks within
-        MASK_BUDGET_BYTES; CapacityError above EXACT_MAX_N."""
+        MASK_BUDGET_BYTES; CapacityError above EXACT_MAX_N. Only the 2^r
+        patterns of the r played columns are evaluated."""
         if self._table is None:
-            n = self.n
+            n, P = self.n, self._played
             check_exact_width(n)
-            table = np.empty(1 << n)
+            r = len(P)
+            pattern_means = np.empty(1 << r)
             step = chunk_size(len(self._distinct) * n * 8)
-            for lo in range(0, 1 << n, step):
-                masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)[:, None]
-                table[lo:lo + step] = self.means((masks >> np.arange(n, dtype=np.uint32)) & 1 != 0)
+            for lo in range(0, 1 << r, step):
+                patterns = np.arange(lo, min(lo + step, 1 << r), dtype=np.uint32)[:, None]
+                visible = np.zeros((len(patterns), n), dtype=bool)
+                visible[:, P] = (patterns >> np.arange(r, dtype=np.uint32)) & 1 != 0
+                pattern_means[lo:lo + step] = self.means(visible)
+            masks = np.arange(1 << n, dtype=np.uint32)
+            pattern = np.zeros(1 << n, dtype=np.uint32)
+            for j, i in enumerate(P.tolist()):
+                pattern |= ((masks >> i) & 1) << j
+            table = pattern_means[pattern]
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -213,10 +265,15 @@ class CoalitionGame:
     def means(self, visible: np.ndarray) -> np.ndarray:
         """Background mean of v(S, .) for each row of the (c, n) boolean `visible`,
         tiled over the distinct background rows in chunks within
-        MASK_BUDGET_BYTES of rows and read back in background order."""
+        MASK_BUDGET_BYTES of rows and read back in background order; one
+        coalition per pattern of the played columns is evaluated."""
         if self._table is not None:
             return self._table[visible @ (1 << np.arange(self.n))]
         k, n = self._distinct.shape
+        inverse = slice(None)
+        if len(self._played) < n:
+            first, inverse = first_rows(visible[:, self._played])
+            visible = visible[first]
         out = np.empty(len(visible))
         step = chunk_size(k * n * 8)
         for lo in range(0, len(visible), step):
@@ -227,16 +284,18 @@ class CoalitionGame:
             # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
             # and sums in another order.
             out[lo:lo + c] = np.take(vals.reshape(c, k), self._inverse, axis=1).mean(axis=1)
-        return out
+        return out[inverse]
 
     def mean_value(self, visible) -> float:
         if self._table is not None:
             return float(self.means(self._visible(visible))[0])
-        return float(self.values(self._visible(visible), self._distinct)[self._inverse].mean())
+        return float(self._values(self._visible(visible), self._distinct)[self._inverse].mean())
 
 
 class ListwiseGame(CoalitionGame):
     """Coalition game for one query: v(S, b) is the objective of the masked list."""
+
+    _signed = False  # scores of -0.0 and 0.0 tie, so they rank alike
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
                  background: BackgroundSet | np.ndarray):
@@ -244,11 +303,9 @@ class ListwiseGame(CoalitionGame):
         self.scorer = scorer
         self.objective = objective
         self.m, n = self.X.shape
-        super().__init__(n, background)
-        if self.background.shape[1] != n:
-            raise DimensionError(f"background dim {self.background.shape[1]} != feature dim {n}")
+        super().__init__(n, background, scorer, self.X)
 
-    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Objective values of k masked lists, one per row of the (k, n) `rows`.
 
         List i keeps the features where the boolean visible[i] is True and

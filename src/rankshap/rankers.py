@@ -29,6 +29,11 @@ class Scorer:
         """
         raise NotImplementedError
 
+    def reads(self, n: int) -> np.ndarray:
+        """The sorted indices of the features among n that a score can depend
+        on; a score must not depend on any other column. All n by default."""
+        return np.arange(n)
+
 
 class LinearScorer(Scorer):
     """Dot product of a fixed weight vector with the features."""
@@ -53,6 +58,9 @@ class LinearScorer(Scorer):
         # different order, giving bit-different scores for identical inputs and
         # breaking the deterministic tie-break on fully masked groups.
         return (np.asarray(X) * self.weights).sum(axis=1)
+
+    def reads(self, n: int) -> np.ndarray:
+        return np.flatnonzero(self.weights)
 
 
 def rank(scores) -> np.ndarray:

@@ -160,8 +160,9 @@ def test_kernel_value_fn_matches_mean_value_fn(n_samples, n, m, bsize, seed, int
 
 def test_kernel_value_fn_is_tiled_in_budget_chunks():
     # Without mean_value_fn the kernel tiles its coalitions over the
-    # background; each tiled batch stays within the mask budget.
-    game, background = make_game(6, 3, 4, 2, interaction=False)
+    # background; each tiled batch stays within the mask budget. The scorer
+    # reads every feature, so that no two coalitions share a pattern.
+    game, background = make_game(6, 3, 4, 2, interaction=True)
     budget = 3 * len(background.vectors) * game.n * 8  # three coalitions
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
         ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
@@ -267,7 +268,8 @@ def test_mean_value_is_one_scorer_call_over_budget():
 
 
 def test_values_chunks_whole_background_batches():
-    game, background = make_game(4, 3, 2, 1, interaction=False)
+    # A scorer that reads every feature, so that no pair shares its key.
+    game, background = make_game(4, 3, 2, 1, interaction=True)
     k = 7 * len(background.vectors)
     rng = np.random.default_rng(0)
     visible = rng.random((k, 4)) < 0.5
