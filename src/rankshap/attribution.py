@@ -30,7 +30,7 @@ from .data import BackgroundSet, QueryGroup, background_array
 from .errors import EstimationError
 # Nothing here calls coalition_to_template; perfbench's tracer patches this
 # module's name for it.
-from .masking import chunk_size, coalition_to_template, distinct_rows
+from .masking import chunk_size, coalition_to_template, first_rows
 from .objectives import CoalitionGame, ListwiseGame, ListwiseObjective, reference_ranking
 from .rankers import Scorer
 
@@ -179,17 +179,18 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 
 
 class _GameOver(CoalitionGame):
-    """A game over a given background that evaluates through `values`; its
-    `means` call `mean_value_fn(S)` once per coalition instead, unless None."""
+    """A game over a given background that evaluates through `values`; each
+    coalition mean, in `means` or `table()`, is one `mean_value_fn(S)` call
+    instead, unless that is None."""
 
     def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
         super().__init__(n, B)
         self._values = values
         self._mean_value_fn = mean_value_fn
 
-    def means(self, visible: np.ndarray) -> np.ndarray:
+    def _grid_means(self, visible: np.ndarray) -> np.ndarray:
         if self._mean_value_fn is None:
-            return super().means(visible)
+            return super()._grid_means(visible)
         return np.array([self._mean_value_fn(_members(v)) for v in visible])
 
 
@@ -321,7 +322,8 @@ def _kernel_design(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.nd
             s = int(rng.choice(sizes, p=p))
             row[rng.choice(n, size=s, replace=False)] = True
         draws[1::2] = ~draws[::2][:budget // 2]
-        rows, inverse = distinct_rows(draws)
+        first, inverse = first_rows(draws)
+        rows = draws[first]
         weights = np.bincount(inverse).astype(float)
         evaluations = 2 + len(rows)
     rows.flags.writeable = False
@@ -375,8 +377,8 @@ def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
         return exact_shapley(game.value, game.n, background)
     if cfg.kind == "permutation":
         return permutation_shapley(game.value, game.n, background, cfg.n_samples, cfg.seed)
-    # The listwise kernel stays on mean_value while the game has no table:
-    # perfbench counts its game calls only there. A filled table is read in one batch.
+    # Without a table the listwise kernel runs the game's one means body a
+    # coalition at a time, through mean_value, which perfbench's tracer counts.
     listwise = isinstance(game, ListwiseGame) and game._table is None
     mean_value_fn = game.mean_value if listwise else None
     return kernel_shap(
@@ -431,6 +433,8 @@ def pointwise_shap_explain(
     top_docs: int = 5,
 ) -> Attribution:
     """Mean of the pointwise score attributions of the top-ranked documents."""
+    if top_docs < 1:
+        raise ValueError(f"top_docs must be at least 1, got {top_docs}")
     B = background_array(background)
     order = reference_ranking(group, scorer)
     take = min(top_docs, len(group))

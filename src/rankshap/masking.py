@@ -34,20 +34,14 @@ def chunk_size(item_bytes: int, group: int = 1) -> int:
     return group * max(1, MASK_BUDGET_BYTES // (group * item_bytes))
 
 
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array in first-seen order, and the index of
-    each row among them, so that `distinct[inverse]` equals `rows`; rows
-    without repeats come back as they are, in the same order.
+def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence, in first-seen order,
+    and the index of each row among them, so that `keys[first][inverse]`
+    equals `keys`; rows without repeats give `first = arange(len(keys))`.
 
     Rows are keyed by their bytes, so -0.0 and 0.0 stay apart: `np.unique`
     with `axis=0` compares them as equal floats and would merge them.
     """
-    first, inverse = first_rows(rows)
-    return np.asarray(rows)[first], inverse
-
-
-def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`distinct_rows` as the index of each distinct row's first occurrence."""
     keys = np.ascontiguousarray(keys)
     if keys.shape[1] == 0:  # one empty key for every row
         return np.arange(min(len(keys), 1)), np.zeros(len(keys), dtype=np.intp)

@@ -171,10 +171,10 @@ class CoalitionGame:
     """Coalition game v(S, b) over a background, evaluated in batches by `values`.
 
     A subclass implements `_values`, one value per (coalition, row) pair.
-    `means` (many coalitions) and `mean_value` (one, in one `_values` call)
-    evaluate each distinct background row once and average the values over
-    the whole background; `value` wraps `values` for one coalition and row.
-    Once `table` has evaluated every coalition, `means` and `mean_value` read it.
+    `_grid_means` averages it over the background, evaluating each distinct
+    row once per coalition; `means` (and `mean_value`, a one-coalition
+    `means`) and `table` call it, and `value` wraps `values` for one coalition
+    and row. Once `table` has evaluated every coalition, `means` reads it.
 
     Given the `scorer` and the rows it scores, the game plays only the columns
     in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
@@ -210,7 +210,7 @@ class CoalitionGame:
         sign = np.signbit(rows)
         away = np.isfinite(rows).all(axis=0) & (sign.all(axis=0) | ~sign.any(axis=0)
                                                 | (not self._signed))
-        away[reads] = False
+        away[reads.astype(np.intp)] = False  # np.asarray([]) is float
         self._played, self._away = np.flatnonzero(~away), np.flatnonzero(away)
         self._away_sign = sign[0, away]
 
@@ -252,7 +252,7 @@ class CoalitionGame:
                 patterns = np.arange(lo, min(lo + step, 1 << r), dtype=np.uint32)[:, None]
                 visible = np.zeros((len(patterns), n), dtype=bool)
                 visible[:, P] = (patterns >> np.arange(r, dtype=np.uint32)) & 1 != 0
-                pattern_means[lo:lo + step] = self.means(visible)
+                pattern_means[lo:lo + step] = self._grid_means(visible)
             masks = np.arange(1 << n, dtype=np.uint32)
             pattern = np.zeros(1 << n, dtype=np.uint32)
             for j, i in enumerate(P.tolist()):
@@ -263,33 +263,35 @@ class CoalitionGame:
         return self._table
 
     def means(self, visible: np.ndarray) -> np.ndarray:
-        """Background mean of v(S, .) for each row of the (c, n) boolean `visible`,
-        tiled over the distinct background rows in chunks within
-        MASK_BUDGET_BYTES of rows and read back in background order; one
-        coalition per pattern of the played columns is evaluated."""
+        """Background mean of v(S, .) for each row of the (c, n) boolean
+        `visible`: a read of the table once it exists, otherwise
+        `_grid_means` of one coalition per pattern of the played columns."""
         if self._table is not None:
             return self._table[visible @ (1 << np.arange(self.n))]
+        if len(self._played) == self.n:
+            return self._grid_means(visible)
+        first, inverse = first_rows(visible[:, self._played])
+        return self._grid_means(visible[first])[inverse]
+
+    def _grid_means(self, visible: np.ndarray) -> np.ndarray:
+        """Background means of coalitions that differ on the played columns,
+        tiled over the distinct background rows in chunks within
+        MASK_BUDGET_BYTES of rows and read back in background order."""
         k, n = self._distinct.shape
-        inverse = slice(None)
-        if len(self._played) < n:
-            first, inverse = first_rows(visible[:, self._played])
-            visible = visible[first]
         out = np.empty(len(visible))
         step = chunk_size(k * n * 8)
         for lo in range(0, len(visible), step):
             vis = visible[lo:lo + step]
             c = len(vis)
-            vals = self.values(np.repeat(vis, k, axis=0), np.tile(self._distinct, (c, 1)))
+            vals = self._values(np.repeat(vis, k, axis=0), np.tile(self._distinct, (c, 1)))
             # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
             # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
             # and sums in another order.
             out[lo:lo + c] = np.take(vals.reshape(c, k), self._inverse, axis=1).mean(axis=1)
-        return out[inverse]
+        return out
 
     def mean_value(self, visible) -> float:
-        if self._table is not None:
-            return float(self.means(self._visible(visible))[0])
-        return float(self._values(self._visible(visible), self._distinct)[self._inverse].mean())
+        return float(self.means(self._visible(visible))[0])
 
 
 class ListwiseGame(CoalitionGame):

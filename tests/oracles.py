@@ -4,7 +4,7 @@ kernel SHAP coalition draw, greedy selection and the talent-search model.
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
 distinct background rows only, the kernel design as boolean rows merged by
-`masking.distinct_rows` (`attribution._kernel_design`), greedy selection one
+`masking.first_rows` (`attribution._kernel_design`), greedy selection one
 batch of candidates per step (`baselines.greedy_select`), and the talent
 model only in `TalentScorer.score_batch`. These one-list, one-permutation,
 one-mask, one-row, one-coalition, one-draw, one-candidate forms are kept here

@@ -409,6 +409,12 @@ class TestPointwiseShap:
         np.testing.assert_allclose(attr.values, expected, atol=1e-10)
 
 
+    @pytest.mark.parametrize("top_docs", [-1, 0])
+    def test_top_docs_below_1_raises_naming_it(self, top_docs):
+        group, scorer, _, background = make_linear_instance(4, 6, seed=2)
+        with pytest.raises(ValueError, match=f"top_docs must be at least 1, got {top_docs}"):
+            pointwise_shap_explain(group, scorer, background, EstimatorConfig(), top_docs=top_docs)
+
     @pytest.mark.parametrize("kind, n_samples, recorded", [
         ("exact", 2048, 32),  # all 2^5 coalitions, whatever the budget
         ("kernel", 2048, 2048),  # full enumeration

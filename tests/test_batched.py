@@ -3,8 +3,8 @@
 Every estimator plays the `CoalitionGame` that `attribution._as_game` makes
 of its arguments: the game itself when `value_fn` is its bound `value` on its
 own background, else a game that evaluates through the bound game's `values`
-or lifts any other value function one coalition at a time, and whose `means`
-call a given `mean_value_fn` once per coalition. `ListwiseGame.values`
+or lifts any other value function one coalition at a time, and whose means
+body calls a given `mean_value_fn` once per coalition. `ListwiseGame.values`
 evaluates many coalitions per scorer call, cut into chunks of
 MASK_BUDGET_BYTES. The exact and permutation estimators fed by `game.value`
 must match, bit for bit, the same estimators fed by a wrapper of
@@ -14,7 +14,8 @@ coalitions through `_PointwiseGame.values`. Greedy selection, which
 evaluates each step's candidates in one `ListwiseGame.means` call, must walk
 as the one-coalition oracle does. Background means evaluate each distinct
 background row once; with repeated rows they must match a mean that
-evaluates every row, for the listwise and the pointwise game. A game's
+evaluates every row, for the listwise and the pointwise game, whether
+`means`, `mean_value` or `table()` asked for them. A game's
 coalition table, once filled, serves every later exact estimate on that game.
 `run_benchmark` shares one game per query, whose coalition table the exact
 ground truth fills and the kernel and greedy read: its records must match a
@@ -165,7 +166,7 @@ def test_kernel_value_fn_is_tiled_in_budget_chunks():
     game, background = make_game(6, 3, 4, 2, interaction=True)
     budget = 3 * len(background.vectors) * game.n * 8  # three coalitions
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
+        ListwiseGame, "_values", autospec=True, side_effect=ListwiseGame._values
     ) as values:
         attr = kernel_shap(game.value, game.n, background, 40, 0)
     rows_per_call = [len(call.args[2]) for call in values.call_args_list]
@@ -267,6 +268,41 @@ def test_mean_value_is_one_scorer_call_over_budget():
     assert score.call_args.args[0].shape == (6 * 4, 5)
 
 
+@settings(max_examples=40, deadline=None)
+@given(positive=st.booleans(), repeats=st.booleans(), **shapes)
+@example(positive=True, repeats=True, n=5, m=3, bsize=4, seed=0, interaction=False, budget=200)
+def test_means_mean_value_and_table_match_the_oracles(positive, repeats, n, m, bsize, seed,
+                                                        interaction, budget):
+    # `means`, `mean_value` and `table()` share one body; each must give the
+    # oracles' bytes for every coalition, before and after the table is
+    # filled. The linear scorer reads some features, so its games are keyed;
+    # nonnegative rows key the pointwise game too. The interaction scorer
+    # reads every feature.
+    rng = np.random.default_rng(seed)
+    X, B = rng.normal(size=(m, n)), rng.normal(size=(bsize, n))
+    if positive:
+        X, B = np.abs(X), np.abs(B)
+    if repeats:
+        B = B[rng.integers(bsize, size=bsize + 3)]
+    group, scorer = make_group(X), make_scorer(rng, n, interaction)
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    coalitions = [tuple(np.flatnonzero(mask >> np.arange(n) & 1).tolist())
+                  for mask in range(1 << n)]
+    visible = np.array([[i in c for i in range(n)] for c in coalitions], dtype=bool)
+    games = [
+        (ListwiseGame(group, scorer, objective, B),
+         lambda c: oracles.listwise_mean(group, scorer, objective, c, B)),
+        (_PointwiseGame(X[0], scorer, B), lambda c: oracles.pointwise_mean(scorer, X[0], c, B)),
+    ]
+    for game, oracle in games:
+        expected = np.array([oracle(c) for c in coalitions]).tobytes()
+        with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+            for _ in ("before the table", "after it"):
+                assert game.means(visible).tobytes() == expected
+                assert np.array([game.mean_value(c) for c in coalitions]).tobytes() == expected
+                assert game.table().tobytes() == expected
+
+
 def test_values_chunks_whole_background_batches():
     # A scorer that reads every feature, so that no pair shares its key.
     game, background = make_game(4, 3, 2, 1, interaction=True)
@@ -297,7 +333,7 @@ def test_greedy_batched_matches_scalar_walk(
     game = ListwiseGame(group, scorer, objective, background)
     expected = oracles.greedy_select(game.mean_value, n, k, stop_on_negative=stop_on_negative)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
+        ListwiseGame, "_values", autospec=True, side_effect=ListwiseGame._values
     ) as values:
         result = greedy_attribution(
             ListwiseGame(group, scorer, objective, background), k,
@@ -429,11 +465,11 @@ def test_repeated_background_rows_match_full_evaluation(seed, interaction):
     background = repeated_background(rng, n, seed)
     B = background.vectors
 
-    distinct, inverse = masking.distinct_rows(B)
-    assert len(distinct) == len({row.tobytes() for row in B}) < len(B)
-    assert distinct[inverse].tobytes() == B.tobytes()
+    first, inverse = masking.first_rows(B)
+    assert len(first) == len({row.tobytes() for row in B}) < len(B)
+    assert B[first][inverse].tobytes() == B.tobytes()
     signed = B[B[:, 0] == 0.0]
-    assert len(signed) == 2 and len(masking.distinct_rows(signed)[0]) == 2
+    assert len(signed) == 2 and len(masking.first_rows(signed)[0]) == 2
 
     def listwise(visible):
         return oracles.listwise_mean(group, scorer, objective, visible, B)

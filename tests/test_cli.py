@@ -634,7 +634,7 @@ def twelve_feature_inputs(tmp_path):
 def test_kernel_budget_below_2n_minus_1_exit_2_before_any_scoring(tmp_path, capsys, command,
                                                                  nsamples):
     out = tmp_path / "out"
-    with mock.patch.object(ListwiseGame, "values") as values, mock.patch.object(
+    with mock.patch.object(ListwiseGame, "_values") as values, mock.patch.object(
         evaluation, "exact_shapley"
     ) as exact:
         code = main([command, *twelve_feature_inputs(tmp_path), "--nsamples", str(nsamples),

@@ -10,7 +10,7 @@ the table an exact estimate filled. An unread column still moves the sign of
 a zero linear score (x * 0.0 is -0.0 for negative x), so the inputs hold
 columns of one sign and of mixed signs, signed zeros in read and unread
 columns, background rows that differ only in unread columns, and all-zero
-weights.
+weights; a scorer may name its reads as a Python list, `[]` for none.
 """
 
 from unittest import mock
@@ -32,6 +32,7 @@ from rankshap import (
     reference_ranking,
 )
 from rankshap.attribution import _PointwiseGame, _run_estimator
+from rankshap import objectives
 from rankshap.cli import main
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
@@ -55,6 +56,21 @@ class HiddenReads(Scorer):
 
     def score_batch(self, X):
         return self.inner.score_batch(X)
+
+
+class ListReads(Scorer):
+    """Delegates to a scorer and names its reads as a Python list: `[]`, which
+    `np.asarray` makes a float array, when it reads nothing."""
+
+    def __init__(self, inner: Scorer):
+        self.inner = inner
+        self.name = inner.name
+
+    def score_batch(self, X):
+        return self.inner.score_batch(X)
+
+    def reads(self, n):
+        return self.inner.reads(n).tolist()
 
 
 def signed_rows(rng, k, signs):
@@ -140,15 +156,44 @@ def outputs(group, scorer, B, seed):
     twins=st.booleans(),
     signed_zeros=st.booleans(),
     signed_sum=st.booleans(),
+    listed=st.booleans(),
 )
 @example(n=1, m=3, bsize=2, seed=0, zeros="all", twins=True, signed_zeros=True,
-         signed_sum=True)
+         signed_sum=True, listed=False)
 @example(n=5, m=4, bsize=3, seed=1, zeros="some", twins=True, signed_zeros=True,
-         signed_sum=False)
+         signed_sum=False, listed=False)
+@example(n=4, m=3, bsize=3, seed=0, zeros="all", twins=True, signed_zeros=True,
+         signed_sum=False, listed=True)
 def test_outputs_match_a_scorer_that_hides_its_reads(n, m, bsize, seed, zeros, twins,
-                                                      signed_zeros, signed_sum):
+                                                      signed_zeros, signed_sum, listed):
     group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, signed_sum)
-    assert outputs(group, scorer, B, seed) == outputs(group, HiddenReads(scorer), B, seed)
+    played = ListReads(scorer) if listed else scorer
+    assert outputs(group, played, B, seed) == outputs(group, HiddenReads(scorer), B, seed)
+
+
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_means_and_table_key_a_request_at_most_once(pointwise):
+    # Nonnegative features and 3 of 6 weights read, so the game is keyed; the
+    # coalitions repeat on the read features.
+    rng = np.random.default_rng(3)
+    n, m = 6, 4
+    group = make_group(rng.random((m, n)))
+    scorer = LinearScorer([1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
+    B = rng.random((5, n))
+    if pointwise:
+        game = _PointwiseGame(group.documents[0].features, scorer, B)
+    else:
+        objective = KendallTauObjective(reference_ranking(group, scorer))
+        game = ListwiseGame(group, scorer, objective, B)
+    assert game._played.tolist() == [0, 2, 4]
+    visible = rng.random((40, n)) < 0.5
+    with mock.patch.object(objectives, "first_rows", wraps=objectives.first_rows) as keyed:
+        means = game.means(visible)
+    assert keyed.call_count <= 1
+    with mock.patch.object(objectives, "first_rows", wraps=objectives.first_rows) as keyed:
+        table = game.table()
+    assert keyed.call_count <= 1
+    assert means.tobytes() == table[visible @ (1 << np.arange(n))].tobytes()
 
 
 def test_null_features_cost_no_evaluation():
