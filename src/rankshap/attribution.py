@@ -137,9 +137,10 @@ class Attribution:
             if not isinstance(meta, dict):
                 raise ValueError(f"{sidecar}: expected a JSON object")
         base_value = meta.pop("base_value", 0.0)
-        if not isinstance(base_value, (int, float)) or not math.isfinite(base_value):
+        # A type check, since bool is an int subclass.
+        if type(base_value) not in (int, float) or not math.isfinite(base_value):
             raise ValueError(f"{sidecar}: base_value {base_value!r} is not a finite number")
-        return cls(values=values, base_value=base_value, meta=meta)
+        return cls(values=values, base_value=float(base_value), meta=meta)
 
 
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
@@ -150,9 +151,8 @@ def shapley_weight(n: int, s: int) -> float:
     """Coalition weight s!(n-s-1)!/n! for a coalition of size s out of n features."""
     if not 0 <= s <= n - 1:
         raise ValueError(f"coalition size {s} out of range for n={n}")
-    if n <= 170:
-        return math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
-    return math.exp(math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n + 1))
+    # Int true division is correctly rounded at every size.
+    return math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
 
 
 def kernel_weight(n: int, s: int) -> float:
@@ -380,10 +380,8 @@ def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:
     # Without a table the listwise kernel runs the game's one means body a
     # coalition at a time, through mean_value, which perfbench's tracer counts.
     listwise = isinstance(game, ListwiseGame) and game._table is None
-    mean_value_fn = game.mean_value if listwise else None
-    return kernel_shap(
-        game.value, game.n, background, cfg.n_samples, cfg.seed, mean_value_fn=mean_value_fn
-    )
+    return kernel_shap(game.value, game.n, background, cfg.n_samples, cfg.seed,
+                       mean_value_fn=game.mean_value if listwise else None)
 
 
 def rankingshap_explain(
@@ -416,13 +414,11 @@ class _PointwiseGame(CoalitionGame):
 
     def __init__(self, x: np.ndarray, scorer: Scorer, B: np.ndarray):
         self.x = np.asarray(x, dtype=float)
-        self.scorer = scorer
         self.B = B  # perfbench's tracer reads it
-        super().__init__(len(self.x), B, scorer, self.x)
+        super().__init__(len(self.x), B, scorer, self.x[None, :])
 
-    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Scores of x masked by each (visible[i], rows[i]) pair."""
-        return self.scorer.score_batch(np.where(visible, self.x, rows))
+    def _reduce(self, scores: np.ndarray) -> np.ndarray:
+        return scores[:, 0]
 
 
 def pointwise_shap_explain(

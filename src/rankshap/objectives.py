@@ -170,11 +170,13 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
 class CoalitionGame:
     """Coalition game v(S, b) over a background, evaluated in batches by `values`.
 
-    A subclass implements `_values`, one value per (coalition, row) pair.
-    `_grid_means` averages it over the background, evaluating each distinct
-    row once per coalition; `means` (and `mean_value`, a one-coalition
-    `means`) and `table` call it, and `value` wraps `values` for one coalition
-    and row. Once `table` has evaluated every coalition, `means` reads it.
+    `_values` masks the scored rows `X` with background rows, scores them and
+    reduces each coalition's scores with the `_reduce` a subclass implements:
+    one value per (coalition, row) pair. `_grid_means` averages it over the
+    background, evaluating each distinct row once per coalition; `means` (and
+    `mean_value`, a one-coalition `means`) and `table` call it, and `value`
+    wraps `values` for one coalition and row. Once `table` has evaluated every
+    coalition, `means` reads it.
 
     Given the `scorer` and the rows it scores, the game plays only the columns
     in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
@@ -187,18 +189,19 @@ class CoalitionGame:
     _signed = True  # whether a value keeps the sign of a zero score; a ranking does not
 
     def __init__(self, n: int, background: BackgroundSet | np.ndarray,
-                 scorer: Scorer | None = None, rows: np.ndarray | None = None):
+                 scorer: Scorer | None = None, X: np.ndarray | None = None):
         self.n = n
         self.background = background_array(background)
+        self.scorer, self.X = scorer, X
         self._played, self._away = np.arange(n), np.arange(0)
         if scorer is not None:
-            self._play(scorer, rows)
+            self._play()
         first, self._inverse = first_rows(self.background[:, self._played])
         self._distinct = self.background[first]
         self._table = None
 
-    def _play(self, scorer: Scorer, rows: np.ndarray) -> None:
-        n = self.n
+    def _play(self) -> None:
+        n, scorer = self.n, self.scorer
         if self.background.shape[1] != n:
             raise DimensionError(f"background dim {self.background.shape[1]} != feature dim {n}")
         reads = np.asarray(scorer.reads(n))
@@ -206,7 +209,7 @@ class CoalitionGame:
                                               or reads[-1] >= n or (np.diff(reads) <= 0).any()):
             raise ValueError(f"scorer {scorer.name}: reads({n}) must be strictly increasing"
                              f" feature indices in [0, {n}), got {reads.tolist()}")
-        rows = np.vstack([rows, self.background])
+        rows = np.vstack([self.X, self.background])
         sign = np.signbit(rows)
         away = np.isfinite(rows).all(axis=0) & (sign.all(axis=0) | ~sign.any(axis=0)
                                                 | (not self._signed))
@@ -216,7 +219,26 @@ class CoalitionGame:
 
     def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """v of k coalitions, one per row of the (k, n) boolean `visible` (or a
-        single row for all k) and of the (k, n) background `rows`."""
+        single row for all k) and of the (k, n) background `rows`: `X` masked
+        by each pair, scored and reduced. A chunk holds as many whole batches
+        of the distinct background rows as fit in MASK_BUDGET_BYTES of masked
+        rows, and at least one; each chunk makes one score and reduce call."""
+        m, n = self.X.shape
+        k = len(rows)
+        step = chunk_size(m * n * 8, len(self._distinct))
+        if k > step:
+            visible = np.broadcast_to(visible, rows.shape)
+        out = np.empty(k)
+        for lo in range(0, k, step):
+            vis, B = visible[lo:lo + step], rows[lo:lo + step]
+            # (c, m, n): each coalition masks every row of X identically.
+            masked = np.where(vis[:, None, :], self.X, B[:, None, :])
+            scores = self.scorer.score_batch(masked.reshape(len(B) * m, n))
+            out[lo:lo + len(B)] = self._reduce(scores.reshape(len(B), m))
+        return out
+
+    def _reduce(self, scores: np.ndarray) -> np.ndarray:
+        """Values of a (c, m) score matrix, one per row; subclasses implement it."""
         raise NotImplementedError
 
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -301,31 +323,9 @@ class ListwiseGame(CoalitionGame):
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
                  background: BackgroundSet | np.ndarray):
-        self.X = group.feature_matrix()
-        self.scorer = scorer
         self.objective = objective
-        self.m, n = self.X.shape
-        super().__init__(n, background, scorer, self.X)
+        self.m = len(group)
+        super().__init__(group.n, background, scorer, group.feature_matrix())
 
-    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Objective values of k masked lists, one per row of the (k, n) `rows`.
-
-        List i keeps the features where the boolean visible[i] is True and
-        takes rows[i] elsewhere, in every document; a single (1, n) `visible`
-        row applies to all k. A chunk holds as many whole batches of the
-        distinct background rows as fit in MASK_BUDGET_BYTES of mask tensor,
-        and at least one; each chunk makes one score, rank and reduce call.
-        """
-        k = len(rows)
-        step = chunk_size(self.m * self.n * 8, len(self._distinct))
-        if k > step:
-            visible = np.broadcast_to(visible, rows.shape)
-        out = np.empty(k)
-        for lo in range(0, k, step):
-            vis, B = visible[lo:lo + step], rows[lo:lo + step]
-            # (c, m, n): each row masks the whole group identically.
-            masked = np.where(vis[:, None, :], self.X, B[:, None, :])
-            scores = self.scorer.score_batch(masked.reshape(len(B) * self.m, self.n))
-            perms = rank_many(scores.reshape(len(B), self.m))
-            out[lo:lo + len(B)] = self.objective.evaluate_many(perms)
-        return out
+    def _reduce(self, scores: np.ndarray) -> np.ndarray:
+        return self.objective.evaluate_many(rank_many(scores))

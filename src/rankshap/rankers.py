@@ -89,7 +89,7 @@ def load_scorer(source) -> Scorer:
     raises FileNotFoundError naming it.
 
     Supported configs: {"kind": "linear", "weights": [...]} and
-    {"kind": "talent", "variant": "biased"|"unbiased"}.
+    {"kind": "talent", "variant": "biased"|"unbiased"}; another key raises.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         cfg = json.loads(source)
@@ -105,6 +105,9 @@ def load_scorer(source) -> Scorer:
     else:
         cfg = dict(source)
     kind = cfg.get("kind")
+    stray = sorted(cfg.keys() - {"kind", {"linear": "weights", "talent": "variant"}.get(kind)})
+    if kind in ("linear", "talent") and stray:
+        raise ValueError(f"{kind} scorer config has unknown keys {stray}")
     if kind == "linear":
         if "weights" not in cfg:
             raise ValueError("linear scorer config needs a 'weights' list")

@@ -5,11 +5,12 @@
 OUT must be empty or absent. The script writes a seeded 10-feature LETOR
 file, which holds a single-document query, and a sparse and a dense linear
 scorer into OUT, then runs `explain` (kernel, exact, permutation),
-`ground-truth --stability`, `evaluate` (exact and estimated ground truth, and
-saved attributions) and `synthetic` from inside OUT, with relative paths, so
-that the config sidecars do not name OUT. Running it against two source trees
-into two directories of the same name and comparing them with `diff -r`
-checks that a change leaves every output byte-identical. It exits 1 naming
+`ground-truth --stability`, `evaluate` (exact and estimated ground truth, the
+exact and permutation estimators, and saved attributions) and `synthetic`
+from inside OUT, with relative paths, so that the config sidecars do not
+name OUT. Running it against two source trees into two directories of the
+same name and comparing them with `diff -r` checks that a change leaves
+every output byte-identical. It exits 1 naming
 the first command that does not exit 0. pytest does not collect this file.
 """
 
@@ -62,6 +63,8 @@ def commands() -> list[list[str]]:
             ["evaluate", *inputs, "--out", out + "evaluate-exact-gt.csv"],
             ["evaluate", *inputs, "--estimator", "exact", "--methods", "rankingshap,greedy3",
              "--out", out + "evaluate-exact.csv"],
+            ["evaluate", *inputs, "--estimator", "permutation", "--nsamples", "16",
+             "--out", out + "evaluate-permutation.csv"],
             ["evaluate", *inputs, "--gt", "estimated", "--nsamples", "64",
              "--out", out + "evaluate-estimated-gt.csv"],
             ["evaluate", "--gt-file", out + "explain-exact/query_a.csv",

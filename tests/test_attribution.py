@@ -62,6 +62,9 @@ class TestShapleyWeight:
         total = sum(math.comb(n - 1, s) * shapley_weight(n, s) for s in range(n))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_wide_weight_is_correctly_rounded(self):
+        assert shapley_weight(171, 0) == 1 / 171
+
 
 class TestExactShapley:
     def test_constant_game(self):
@@ -452,6 +455,20 @@ class TestAttributionSerialization:
         path.write_text("feature_index,phi\n" + rows)
         with pytest.raises(ValueError, match=f"attr.csv: feature_index {bad} "):
             Attribution.load(path)
+
+    def test_load_rejects_a_bool_base_value(self, tmp_path):
+        path = tmp_path / "attr.csv"
+        path.write_text("feature_index,phi\n0,1.0\n")
+        path.with_suffix(".json").write_text('{"base_value": true}')
+        with pytest.raises(ValueError, match="attr.json: base_value True is not a finite"):
+            Attribution.load(path)
+
+    def test_load_reads_an_int_base_value_as_float(self, tmp_path):
+        path = tmp_path / "attr.csv"
+        path.write_text("feature_index,phi\n0,1.0\n")
+        path.with_suffix(".json").write_text('{"base_value": 2}')
+        base_value = Attribution.load(path).base_value
+        assert type(base_value) is float and base_value == 2.0
 
     def test_load_accepts_any_row_order(self, tmp_path):
         path = tmp_path / "attr.csv"

@@ -4,9 +4,10 @@ Every estimator plays the `CoalitionGame` that `attribution._as_game` makes
 of its arguments: the game itself when `value_fn` is its bound `value` on its
 own background, else a game that evaluates through the bound game's `values`
 or lifts any other value function one coalition at a time, and whose means
-body calls a given `mean_value_fn` once per coalition. `ListwiseGame.values`
-evaluates many coalitions per scorer call, cut into chunks of
-MASK_BUDGET_BYTES. The exact and permutation estimators fed by `game.value`
+body calls a given `mean_value_fn` once per coalition. `values` evaluates
+many coalitions per scorer call through the one masking body that the
+listwise and the pointwise game share, cut into chunks of whole background
+batches within MASK_BUDGET_BYTES. The exact and permutation estimators fed by `game.value`
 must match, bit for bit, the same estimators fed by a wrapper of
 `game.value` or by `game.mean_value`, for every chunking; so must the kernel
 estimator fed by `game.value`, and the pointwise kernel, which evaluates its
@@ -303,21 +304,25 @@ def test_means_mean_value_and_table_match_the_oracles(positive, repeats, n, m, b
                 assert game.table().tobytes() == expected
 
 
-def test_values_chunks_whole_background_batches():
+@pytest.mark.parametrize("pointwise", [False, True], ids=["listwise", "pointwise"])
+def test_values_chunks_whole_background_batches(pointwise):
     # A scorer that reads every feature, so that no pair shares its key.
     game, background = make_game(4, 3, 2, 1, interaction=True)
+    m = game.m
+    if pointwise:
+        game, m = _PointwiseGame(game.X[0], game.scorer, background.vectors), 1
     k = 7 * len(background.vectors)
     rng = np.random.default_rng(0)
     visible = rng.random((k, 4)) < 0.5
     rows = np.tile(background.vectors, (7, 1))
     whole = game.values(visible, rows)
-    # Room for exactly 2 background batches (4 rows) per chunk.
-    budget = 4 * game.m * game.n * 8
+    # Room for exactly 2 background batches (4 coalitions) per chunk.
+    budget = 4 * m * game.n * 8
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
         game.scorer, "score_batch", wraps=game.scorer.score_batch
     ) as score:
         chunked = game.values(visible, rows)
-    assert [c.args[0].shape[0] for c in score.call_args_list] == [12, 12, 12, 6]
+    assert [c.args[0].shape[0] for c in score.call_args_list] == [4 * m, 4 * m, 4 * m, 2 * m]
     assert chunked.tobytes() == whole.tobytes()
 
 

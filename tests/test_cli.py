@@ -372,6 +372,20 @@ def test_bad_linear_scorer_config_exit_2(workspace, capsys, weights):
     assert "linear scorer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "linear", "weights": [1, 0, 0, 0, 0], "bias": 3},
+    {"kind": "talent", "varient": "unbiased"},
+])
+def test_unknown_scorer_config_key_exit_2(workspace, capsys, cfg):
+    tmp, data, _ = workspace
+    code = main([
+        "explain", "--data", str(data), "--scorer", json.dumps(cfg), "--out", str(tmp / "o"),
+    ])
+    assert code == 2
+    assert f"{cfg['kind']} scorer config has unknown keys" in capsys.readouterr().err
+    assert not (tmp / "o").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
 @pytest.mark.parametrize("command", ["explain", "ground-truth"])
 def test_bad_thread_count_exit_2(workspace, capsys, monkeypatch, command, threads):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,3 +113,15 @@ def test_load_scorer_talent():
 def test_load_scorer_unknown_kind():
     with pytest.raises(ValueError, match="unknown scorer kind"):
         load_scorer({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("cfg, stray", [
+    ({"kind": "linear", "weights": [1.0, 2.0], "bias": 3}, "['bias']"),
+    ({"kind": "talent", "varient": "unbiased"}, "['varient']"),
+])
+def test_load_scorer_rejects_unknown_keys(cfg, stray):
+    # A misspelt or unsupported key would otherwise build a different model
+    # without a word: the talent config above would score with the biased one.
+    message = f"{cfg['kind']} scorer config has unknown keys {stray}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_scorer(cfg)
