@@ -246,8 +246,9 @@ def permutation_shapley(
     One sample draws a permutation and one background vector and walks the
     permutation once, so it yields a marginal contribution for every feature
     at the cost of n+1 value evaluations. The n+1 prefixes of a chunk of
-    samples are evaluated in one batch; contributions are still summed sample
-    by sample, in the order they are drawn.
+    samples are evaluated in one batch, and the chunk's contributions are
+    added in one step that still sums them sample by sample, in the order
+    they are drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -269,9 +270,10 @@ def permutation_shapley(
         pos = np.argsort(sigmas, axis=1)
         visible = (prefix > pos[:, None, :]).reshape(c * (n + 1), n)
         vals = evaluate(visible, np.repeat(rows, n + 1, axis=0)).reshape(c, n + 1)
-        for sigma, v in zip(sigmas, vals):
-            base_sum += float(v[0])
-            contrib[sigma] += np.diff(v)
+        # Each sample's steps in feature order, added to the sums in the order drawn.
+        steps = np.take_along_axis(np.diff(vals, axis=1), pos, axis=1)
+        contrib = np.add.accumulate(np.vstack([contrib, steps]))[-1]
+        base_sum = float(np.add.accumulate(np.append(base_sum, vals[:, 0]))[-1])
     meta = estimator_meta("permutation", n_samples, len(B), seed)
     return Attribution(values=contrib / n_samples, base_value=base_sum / n_samples, meta=meta)
 

@@ -18,8 +18,9 @@ from .errors import CapacityError
 EXACT_MAX_N = 20
 
 # Byte budget of one batch of masked rows. The batched game and the estimators
-# cut their coalition batches into chunks of at most this size.
-MASK_BUDGET_BYTES = 256 * 1024
+# cut their coalition batches into chunks of at most this size. Of 256 to 768 KiB,
+# 512 KiB is the fastest for permutation sampling within +5% peak memory.
+MASK_BUDGET_BYTES = 512 * 1024
 
 
 def check_exact_width(n: int) -> None:

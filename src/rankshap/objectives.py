@@ -30,6 +30,9 @@ class ListwiseObjective:
         self.reference.setflags(write=False)
         if self.m < 2:
             raise ValueError("objective needs at least 2 documents")
+        if self.reference.ndim != 1 or (np.sort(self.reference) != np.arange(self.m)).any():
+            raise ValueError(f"reference {self.reference.tolist()} is not a permutation"
+                             f" of 0..{self.m - 1}")
 
     @property
     def m(self) -> int:
@@ -192,6 +195,8 @@ class CoalitionGame:
                  scorer: Scorer | None = None, X: np.ndarray | None = None):
         self.n = n
         self.background = background_array(background)
+        if self.background.ndim != 2 or not len(self.background) or self.background.shape[1] != n:
+            raise DimensionError(f"background shape {self.background.shape} is not (>= 1, {n})")
         self.scorer, self.X = scorer, X
         self._played, self._away = np.arange(n), np.arange(0)
         if scorer is not None:
@@ -202,8 +207,6 @@ class CoalitionGame:
 
     def _play(self) -> None:
         n, scorer = self.n, self.scorer
-        if self.background.shape[1] != n:
-            raise DimensionError(f"background dim {self.background.shape[1]} != feature dim {n}")
         reads = np.asarray(scorer.reads(n))
         if reads.ndim != 1 or reads.size and (reads.dtype.kind not in "iu" or reads[0] < 0
                                               or reads[-1] >= n or (np.diff(reads) <= 0).any()):
@@ -244,14 +247,23 @@ class CoalitionGame:
     def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """`_values` of one pair per key of the played columns, unless the other
         columns of `rows` are unlike the game's own: not finite, or in a signed
-        game not of their signs."""
+        game not of their signs. Runs of consecutive pairs with one key (the
+        prefixes of a permutation that add unplayed features) collapse to
+        their first pair before the run heads are keyed by their bytes."""
         P, away = self._played, rows[:, self._away]
         if len(P) == self.n or len(rows) < 2 or not np.isfinite(away).all() or (
                 self._signed and (np.signbit(away) != self._away_sign).any()):
             return self._values(visible, rows)
         visible = np.broadcast_to(visible, rows.shape)
-        first, inverse = first_rows(np.concatenate([visible[:, P], rows[:, P]], axis=1))
-        return self._values(visible[first], rows[first])[inverse]
+        vis, bits = visible[:, P], rows[:, P].astype(float, copy=False).view(np.uint64)
+        run = np.ones(len(rows), dtype=bool)  # True where a run of equal keys starts
+        run[1:] = (vis[1:] != vis[:-1]).any(axis=1) | (bits[1:] != bits[:-1]).any(axis=1)
+        heads = np.flatnonzero(run)
+        first, inverse = first_rows(np.hstack([vis[heads].view(np.uint8),
+                                               bits[heads].view(np.uint8)]))
+        first = heads[first]
+        del away, vis, bits  # before `_values` masks: lowers peak memory
+        return self._values(visible[first], rows[first])[inverse[np.cumsum(run) - 1]]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0

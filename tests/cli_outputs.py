@@ -5,12 +5,13 @@
 OUT must be empty or absent. The script writes a seeded 10-feature LETOR
 file, which holds a single-document query, and a sparse and a dense linear
 scorer into OUT, then runs `explain` (kernel, exact, permutation),
-`ground-truth --stability`, `evaluate` (exact and estimated ground truth, the
-exact and permutation estimators, and saved attributions) and `synthetic`
-from inside OUT, with relative paths, so that the config sidecars do not
-name OUT. Running it against two source trees into two directories of the
-same name and comparing them with `diff -r` checks that a change leaves
-every output byte-identical. It exits 1 naming
+`ground-truth` (with `--stability`, and over several permutation chunks of a
+background larger than the file's 16 documents), `evaluate` (exact and
+estimated ground truth, the exact and permutation estimators, and saved
+attributions) and `synthetic` from inside OUT, with relative paths, so that
+the config sidecars do not name OUT. Running it against two source trees
+into two directories of the same name and comparing them with `diff -r`
+checks that a change leaves every output byte-identical. It exits 1 naming
 the first command that does not exit 0. pytest does not collect this file.
 """
 
@@ -60,6 +61,9 @@ def commands() -> list[list[str]]:
              "--background", "8", "--out", out + "explain-permutation"],
             ["ground-truth", *inputs, "--nsamples", "64", "--runs", "2", "--background", "8",
              "--stability", "8,16", "--out", out + "ground-truth"],
+            # Several permutation chunks, on a background drawn with replacement.
+            ["ground-truth", *inputs, "--nsamples", "1500", "--runs", "2", "--background", "24",
+             "--out", out + "ground-truth-chunks"],
             ["evaluate", *inputs, "--out", out + "evaluate-exact-gt.csv"],
             ["evaluate", *inputs, "--estimator", "exact", "--methods", "rankingshap,greedy3",
              "--out", out + "evaluate-exact.csv"],

@@ -4,12 +4,15 @@ kernel SHAP coalition draw, greedy selection and the talent-search model.
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
 distinct background rows only, the kernel design as boolean rows merged by
-`masking.first_rows` (`attribution._kernel_design`), greedy selection one
-batch of candidates per step (`baselines.greedy_select`), and the talent
-model only in `TalentScorer.score_batch`. These one-list, one-permutation,
-one-mask, one-row, one-coalition, one-draw, one-candidate forms are kept here
-as independent oracles for the tests. `stability_curve` builds its games once,
-before its size loop; the form here builds one game per run and size.
+`masking.first_rows` (`attribution._kernel_design`), permutation sampling a
+chunk of prefixes per `values` call and one accumulation per chunk
+(`attribution.permutation_shapley`), greedy selection one batch of
+candidates per step (`baselines.greedy_select`), and the talent model only
+in `TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
+one-row, one-coalition, one-draw, one-prefix, one-candidate forms are kept
+here as independent oracles for the tests. `stability_curve` builds its
+games once, before its size loop; the form here builds one game per run and
+size.
 """
 
 from __future__ import annotations
@@ -154,6 +157,24 @@ def pointwise_mean(scorer, x: np.ndarray, visible, B: np.ndarray) -> float:
     scored as a one-row batch."""
     t = _template(visible, len(x))
     return float(np.array([scorer.score_batch(apply_mask(x, t, b)[None, :])[0] for b in B]).mean())
+
+
+def permutation_walk(value_fn, n: int, B: np.ndarray, n_samples: int,
+                     seed: int) -> tuple[np.ndarray, float]:
+    """Permutation sampling one sample and one prefix at a time: draw sigma,
+    then the background row, walk the n+1 prefixes through `value_fn` and add
+    each difference into contrib[sigma]. The mean contributions and the mean
+    value of the empty prefix."""
+    rng = np.random.default_rng(seed)
+    contrib = np.zeros(n)
+    base_sum = 0.0
+    for _ in range(n_samples):
+        sigma = rng.permutation(n)
+        b = B[rng.integers(len(B))]
+        v = [value_fn(tuple(sigma[:j].tolist()), b) for j in range(n + 1)]
+        base_sum += v[0]
+        contrib[sigma] += np.diff(v)
+    return contrib / n_samples, base_sum / n_samples
 
 
 def kernel_design(n: int, n_samples: int, seed: int) -> tuple[list[int], list[float], int]:

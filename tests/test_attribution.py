@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rankshap import (
     Attribution,
     BackgroundSet,
     CapacityError,
+    DimensionError,
     EstimationError,
     EstimatorConfig,
     KendallTauObjective,
@@ -135,6 +137,19 @@ class TestExactShapley:
 
         attr = exact_shapley(value_fn, 1, B)
         assert attr.values[0] == pytest.approx(x0 - B.vectors[:, 0].mean(), abs=1e-12)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda f, B: exact_shapley(f, 3, B),
+    lambda f, B: kernel_shap(f, 3, B, 8, 0),
+    lambda f, B: permutation_shapley(f, 3, B, 4, 0),
+], ids=["exact", "kernel", "permutation"])
+def test_estimators_reject_a_background_without_rows_of_n_features(estimate):
+    # Empty, 1-D and too wide backgrounds: the game raises before it plays.
+    for B in (np.zeros((0, 3)), np.zeros(3), np.zeros((2, 4))):
+        message = re.escape(f"background shape {B.shape} is not (>= 1, 3)")
+        with pytest.raises(DimensionError, match=message):
+            estimate(lambda S, b: float(len(S)), B)
 
 
 class TestPermutationShapley:

@@ -80,25 +80,6 @@ def make_game(n, m, bsize, seed, interaction):
     return ListwiseGame(group, scorer, objective, background), background
 
 
-def walk_permutations(value_fn, n, B, n_samples, seed):
-    """One prefix per value call: the sampler's RNG stream and summation order."""
-    rng = np.random.default_rng(seed)
-    contrib = np.zeros(n)
-    base_sum = 0.0
-    for _ in range(n_samples):
-        sigma = rng.permutation(n)
-        b = B[rng.integers(len(B))]
-        visible = []
-        prev = value_fn(tuple(visible), b)
-        base_sum += prev
-        for i in sigma:
-            visible.append(int(i))
-            cur = value_fn(tuple(visible), b)
-            contrib[i] += cur - prev
-            prev = cur
-    return contrib / n_samples, base_sum / n_samples
-
-
 def assert_same(a, b):
     assert a.values.tobytes() == b.values.tobytes()
     assert a.base_value == b.base_value
@@ -125,7 +106,7 @@ def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, intera
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
         batched = permutation_shapley(game.value, n, background, n_samples, seed)
         scalar = permutation_shapley(lambda S, b: game.value(S, b), n, background, n_samples, seed)
-    values, base = walk_permutations(game.value, n, background.vectors, n_samples, seed)
+    values, base = oracles.permutation_walk(game.value, n, background.vectors, n_samples, seed)
     for attr in (batched, scalar):
         assert attr.values.tobytes() == values.tobytes()
         assert attr.base_value == base

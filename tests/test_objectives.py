@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,6 +113,15 @@ def test_objective_checks_list_and_permutation_length(spec):
         objective.evaluate_many(np.array([[0, 1, 2, 3]]))
     with pytest.raises(DimensionError):
         objective.evaluate([0, 1])
+
+
+@pytest.mark.parametrize("objective", [KendallTauObjective, lambda ref: TopKTauObjective(ref, k=1),
+                                       lambda ref: DocRankObjective(ref, 0)])
+@pytest.mark.parametrize("reference", [[2, 1], [0, 0, 1], [0, 1, 5], [-1, 0], [[0, 1], [1, 0]]])
+def test_objective_rejects_a_reference_that_is_not_a_permutation(objective, reference):
+    # [2, 1] would score the identity list [0, 1] as -1.0.
+    with pytest.raises(ValueError, match=re.escape(f"reference {reference} is not a permutation")):
+        objective(reference)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_group
+import oracles
+from conftest import InteractionScorer, make_group
 from rankshap import (
     FULL,
     EstimatorConfig,
@@ -31,8 +32,8 @@ from rankshap import (
     rankingshap_explain,
     reference_ranking,
 )
-from rankshap.attribution import _PointwiseGame, _run_estimator
-from rankshap import objectives
+from rankshap.attribution import _PointwiseGame, _run_estimator, permutation_shapley
+from rankshap import masking, objectives
 from rankshap.cli import main
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
@@ -171,6 +172,46 @@ def test_outputs_match_a_scorer_that_hides_its_reads(n, m, bsize, seed, zeros, t
     assert outputs(group, played, B, seed) == outputs(group, HiddenReads(scorer), B, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(2, 5),
+    bsize=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    zeros=st.sampled_from(["none", "some", "all"]),
+    twins=st.booleans(),
+    signed_zeros=st.booleans(),
+    interaction=st.booleans(),
+    pointwise=st.booleans(),
+    n_samples=st.integers(1, 30),
+    budget=st.sampled_from([1, 200, 3000, masking.MASK_BUDGET_BYTES]),
+)
+# No feature is read, so every prefix of every sample is one run, which each
+# one-sample chunk boundary splits.
+@example(n=3, m=3, bsize=2, seed=0, zeros="all", twins=True, signed_zeros=True,
+         interaction=False, pointwise=False, n_samples=5, budget=1)
+@example(n=5, m=4, bsize=3, seed=1, zeros="some", twins=True, signed_zeros=True,
+         interaction=False, pointwise=True, n_samples=12, budget=200)
+def test_permutation_matches_the_walk_one_prefix_at_a_time(n, m, bsize, seed, zeros, twins,
+                                                            signed_zeros, interaction, pointwise,
+                                                            n_samples, budget):
+    group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, False)
+    B = np.vstack([B, B[::-1]])  # every row twice, one repeat right after its row
+    if interaction:
+        rng = np.random.default_rng(seed)
+        scorer = InteractionScorer(rng.normal(size=n), rng.normal(size=(n, n)) * 0.4)
+    if pointwise:
+        game = _PointwiseGame(group.documents[0].features, scorer, B)
+    else:
+        objective = KendallTauObjective(reference_ranking(group, scorer))
+        game = ListwiseGame(group, scorer, objective, B)
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        attr = permutation_shapley(game.value, n, B, n_samples, seed)
+    values, base = oracles.permutation_walk(game.value, n, B, n_samples, seed)
+    assert attr.values.tobytes() == values.tobytes()
+    assert np.float64(attr.base_value).tobytes() == np.float64(base).tobytes()
+
+
 @pytest.mark.parametrize("pointwise", [False, True])
 def test_means_and_table_key_a_request_at_most_once(pointwise):
     # Nonnegative features and 3 of 6 weights read, so the game is keyed; the
@@ -219,6 +260,33 @@ def test_null_features_cost_no_evaluation():
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
         game.values(visible, np.repeat(B[:1], n + 1, axis=0))
     assert sum(len(c.args[0]) for c in score.call_args_list) == 3 * m
+    # One call over permutations that share a read row evaluates one list per
+    # distinct (pattern, read row) key, not one per run: rows 0 and 3 differ
+    # only in an unread column, so the first three permutations meet 4 keys
+    # in 9 runs.
+    sigmas = np.array([[2, 0, 5, 1, 3, 4, 6, 7], [5, 1, 0, 2, 3, 4, 6, 7],
+                       [7, 6, 5, 4, 3, 2, 1, 0], [0, 2, 1, 3, 4, 5, 6, 7]])
+    pos = np.argsort(sigmas, axis=1)
+    visible = (np.arange(n + 1)[:, None] > pos[:, None, :]).reshape(-1, n)
+    rows = np.repeat(B[[0, 0, 3, 1]], n + 1, axis=0)
+    keys = {(tuple(v[[2, 5]]), tuple(r[[2, 5]])) for v, r in zip(visible, rows)}
+    assert len(keys) == 4 + 3  # 4 patterns of row 0, 3 prefixes of row 1
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+        got = game.values(visible, rows)
+    assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
+    expected = [game.value(np.flatnonzero(v), r) for v, r in zip(visible, rows)]
+    assert got.tobytes() == np.array(expected).tobytes()
+    # The estimator plays that game itself: each key of a chunk once.
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+        permutation_shapley(game.value, n, B, 4, 7)
+    rng = np.random.default_rng(7)
+    keys = set()
+    for _ in range(4):
+        sigma = rng.permutation(n)
+        b = B[rng.integers(len(B))]
+        keys |= {(frozenset(sigma[:j].tolist()) & {2, 5}, tuple(b[[2, 5]]))
+                 for j in range(n + 1)}
+    assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
     # The pointwise game keys only unread columns of one sign.
     x = group.documents[0].features
     assert _PointwiseGame(x, scorer, B)._played.tolist() == [2, 5]
