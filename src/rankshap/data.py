@@ -113,6 +113,14 @@ def _parse_line(line: str, line_no: int) -> tuple[int, str, dict[int, float]]:
         for key, val in feats.items():
             if not math.isfinite(val):
                 raise ParseError(line_no, f"non-finite feature value {key}:{val!r}")
+    if "_" in body or not body.isascii():
+        # int() and float() take digit-group underscores and non-ASCII
+        # digits, which no LETOR number holds; a query id may hold either.
+        for tok in tokens[:1] + tokens[2:]:
+            if "_" in tok or not tok.isascii():
+                raise ParseError(
+                    line_no, f"numeric token {tok!r} holds '_' or a non-ASCII character"
+                )
     return relevance, qid, feats
 
 
@@ -120,23 +128,27 @@ def parse_letor(text: str | Iterable[str]) -> list[Document]:
     """Parse LETOR/SVMLight lines into documents.
 
     The feature dimension is the maximum 1-based feature key seen anywhere in
-    the input; keys missing on a line default to 0.0.
+    the input; keys missing on a line default to 0.0. A `str` is split with
+    `str.splitlines`; any other iterable of lines (an open file, say) is read
+    once, as given. Each line becomes a float vector as soon as it is parsed,
+    so memory is about one float per feature plus the text.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    lines = text.splitlines() if isinstance(text, str) else text
     rows = []
     for line_no, line in enumerate(lines, start=1):
         if not line.split("#", 1)[0].strip():
             continue
-        rows.append((line_no, *_parse_line(line, line_no)))
-    if not rows:
-        return []
-    n = max(max(feats) if feats else 0 for _, _, _, feats in rows)
-    docs: list[Document] = []
-    counters: dict[str, int] = {}
-    for _, relevance, qid, feats in rows:
-        vec = np.zeros(n)
+        relevance, qid, feats = _parse_line(line, line_no)
+        vec = np.zeros(max(feats, default=0))
         for key, val in feats.items():
             vec[key - 1] = val
+        rows.append((relevance, qid, vec))
+    n = max((len(vec) for _, _, vec in rows), default=0)
+    docs: list[Document] = []
+    counters: dict[str, int] = {}
+    for relevance, qid, vec in rows:
+        if len(vec) < n:
+            vec = np.concatenate([vec, np.zeros(n - len(vec))])
         idx = counters.get(qid, 0)
         counters[qid] = idx + 1
         docs.append(Document(query_id=qid, doc_index=idx, features=vec, relevance=relevance))

@@ -77,8 +77,8 @@ def rank(scores) -> np.ndarray:
 def rank_many(score_matrix: np.ndarray) -> np.ndarray:
     """Row-wise `rank` for a (k, m) matrix of scores."""
     scores = np.asarray(score_matrix, dtype=float)
-    if np.isnan(scores).any():
-        raise ValueError("NaN score")
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite score: a scorer returned NaN or +-inf")
     return np.argsort(-scores, axis=1, kind="stable")
 
 
@@ -111,6 +111,10 @@ def load_scorer(source) -> Scorer:
     if kind == "linear":
         if "weights" not in cfg:
             raise ValueError("linear scorer config needs a 'weights' list")
+        # float() takes "1" and True; a JSON weight must be a number.
+        for i, w in enumerate(cfg["weights"] if isinstance(cfg["weights"], list) else ()):
+            if isinstance(w, (str, bool)):
+                raise ValueError(f"linear scorer weight {i} must be a number, got {w!r}")
         return LinearScorer(cfg["weights"])
     if kind == "talent":
         from .talent import TalentScorer

@@ -3,16 +3,18 @@
     PYTHONPATH=src python tests/cli_outputs.py OUT
 
 OUT must be empty or absent. The script writes a seeded 10-feature LETOR
-file, which holds a single-document query, and a sparse and a dense linear
-scorer into OUT, then runs `explain` (kernel, exact, permutation),
-`ground-truth` (with `--stability`, and over several permutation chunks of a
-background larger than the file's 16 documents), `evaluate` (exact and
-estimated ground truth, the exact and permutation estimators, and saved
-attributions) and `synthetic` from inside OUT, with relative paths, so that
-the config sidecars do not name OUT. Running it against two source trees
-into two directories of the same name and comparing them with `diff -r`
-checks that a change leaves every output byte-identical. It exits 1 naming
-the first command that does not exit 0. pytest does not collect this file.
+file, which holds a single-document query, a second one in SVMLight-sparse
+form (keys out of order, zeros omitted, a last line short of 10 features),
+and a sparse and a dense linear scorer into OUT. It then runs `explain`
+(kernel, exact, permutation, and on the sparse file), `ground-truth` (with
+`--stability`, and over several permutation chunks of a background larger
+than the file's 16 documents), `evaluate` (exact and estimated ground truth,
+the exact and permutation estimators, and saved attributions) and
+`synthetic` from inside OUT, with relative paths, so that the config
+sidecars do not name OUT. Running it against two source trees into two
+directories of the same name and comparing them with `diff -r` checks that
+a change leaves every output byte-identical. It exits 1 naming the first
+command that does not exit 0. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ def write_inputs() -> None:
     for name, weights in (("dense", dense), ("sparse", sparse)):
         Path(f"{name}.json").write_text(json.dumps({"kind": "linear",
                                                     "weights": weights.tolist()}))
+    # SVMLight-sparse: keys out of order, zeros omitted, a last line that
+    # stops short of the widest key, a comment and a blank line. Every other
+    # line holds key 10, so the file is as wide as the scorers.
+    lines = ["# sparse LETOR file\n"]
+    for qid, docs in (("s1", 5), ("s2", 4)):
+        for _ in range(docs):
+            x = rng.normal(size=N_FEATURES)
+            x[rng.random(N_FEATURES) < 0.3] = 0.0
+            x[N_FEATURES - 1] = 1.0 + x[N_FEATURES - 1] ** 2
+            keys = [k for k in rng.permutation(N_FEATURES) if x[k] != 0.0]
+            features = " ".join(f"{k + 1}:{x[k]:.6f}" for k in keys)
+            lines.append(f"{rng.integers(3)} qid:{qid} {features}\n")
+        lines.append("\n")
+    lines.append(f"1 qid:s2 3:0.5 1:-1.25 6:2.0 # shorter than {N_FEATURES} features\n")
+    Path("sparse.txt").write_text("".join(lines))
 
 
 def commands() -> list[list[str]]:
@@ -59,6 +76,8 @@ def commands() -> list[list[str]]:
              "--out", out + "explain-exact"],
             ["explain", *inputs, "--estimator", "permutation", "--nsamples", "16",
              "--background", "8", "--out", out + "explain-permutation"],
+            ["explain", "--data", "sparse.txt", "--scorer", f"{scorer}.json", "--seed", "3",
+             "--background", "8", "--out", out + "explain-sparse-file"],
             ["ground-truth", *inputs, "--nsamples", "64", "--runs", "2", "--background", "8",
              "--stability", "8,16", "--out", out + "ground-truth"],
             # Several permutation chunks, on a background drawn with replacement.

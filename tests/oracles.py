@@ -1,5 +1,6 @@
-"""Scalar reference implementations of listwise masking, the objectives, the
-kernel SHAP coalition draw, greedy selection and the talent-search model.
+"""Scalar reference implementations of LETOR parsing, listwise masking, the
+objectives, the kernel SHAP coalition draw, greedy selection and the
+talent-search model.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
@@ -12,7 +13,9 @@ in `TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
 one-row, one-coalition, one-draw, one-prefix, one-candidate forms are kept
 here as independent oracles for the tests. `stability_curve` builds its
 games once, before its size loop; the form here builds one game per run and
-size.
+size. `parse_letor` turns each line into a float vector as soon as it is
+parsed; the form here keeps every line's `{key: value}` dict until the last
+line is read.
 """
 
 from __future__ import annotations
@@ -33,9 +36,32 @@ from rankshap import (
     rank,
 )
 from rankshap.attribution import kernel_weight, permutation_shapley
+from rankshap.data import _parse_line
 from rankshap.evaluation import StabilityRow, _spawn_seeds
 from rankshap.objectives import ListwiseGame
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
+
+
+def parse_letor_dicts(text: str | Iterable[str]) -> list[Document]:
+    """`parse_letor` through one `{key: value}` dict per line, all held until
+    the last line is read, then densified at the widest key."""
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.split("#", 1)[0].strip():
+            continue
+        rows.append(_parse_line(line, line_no))
+    n = max((max(feats, default=0) for _, _, feats in rows), default=0)
+    docs: list[Document] = []
+    counters: dict[str, int] = {}
+    for relevance, qid, feats in rows:
+        vec = np.zeros(n)
+        for key, val in feats.items():
+            vec[key - 1] = val
+        idx = counters.get(qid, 0)
+        counters[qid] = idx + 1
+        docs.append(Document(query_id=qid, doc_index=idx, features=vec, relevance=relevance))
+    return docs
 
 
 def apply_mask(x: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -361,6 +361,7 @@ def test_evaluate_without_inputs_exit_2(workspace, capsys, missing):
 
 @pytest.mark.parametrize("weights", [
     None, [float("nan"), 1, 1, 1, 1], [[1, 2, 3, 4, 5]], [], "abc", {"a": 1}, [[1], [2, 3]],
+    ["1", "2", "3", "4", "5"], [1, 2, 3, 4, True],
 ])
 def test_bad_linear_scorer_config_exit_2(workspace, capsys, weights):
     tmp, data, _ = workspace
@@ -370,6 +371,33 @@ def test_bad_linear_scorer_config_exit_2(workspace, capsys, weights):
     ])
     assert code == 2
     assert "linear scorer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, token", [
+    ("1 qid:q0 1:0_5 5:1", "1:0_5"), ("1 qid:q0 1:١ 5:1", "1:١"),
+])
+def test_underscored_or_non_ascii_number_exit_2(workspace, capsys, line, token):
+    tmp, data, scorer = workspace
+    lines = data.read_text().splitlines()
+    lines[2] = line
+    data.write_text("\n".join(lines))
+    code = main(["explain", "--data", str(data), "--scorer", str(scorer),
+                 "--out", str(tmp / "o")])
+    assert code == 2
+    assert f"line 3: numeric token {token!r}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infinite_scores_exit_2(workspace, capsys):
+    # Finite features whose weighted sum overflows: the scores are +-inf, and
+    # inf scores would tie and rank by document index.
+    tmp, data, scorer = workspace
+    data.write_text("1 qid:a 1:1e308 4:1e308\n0 qid:a 1:1 4:1e308\n2 qid:a 4:-1e308 5:1\n")
+    code = main(["explain", "--data", str(data), "--scorer", str(scorer),
+                 "--out", str(tmp / "o")])
+    assert code == 2
+    assert "non-finite score" in capsys.readouterr().err
+    assert not (tmp / "o").exists()
 
 
 @pytest.mark.parametrize("cfg", [

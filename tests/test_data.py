@@ -1,7 +1,12 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from rankshap import (
     DimensionError,
@@ -167,3 +172,112 @@ def test_serialize_parse_round_trip(relevance, qid, features):
     assert back.query_id == doc.query_id
     assert back.relevance == doc.relevance
     np.testing.assert_allclose(back.features, doc.features, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad, token", [
+    ("1_0 qid:1 1:0.5", "1_0"),
+    ("1 qid:1 1:0_5", "1:0_5"),
+    ("1 qid:1 1_0:0.5", "1_0:0.5"),
+    ("1 qid:1 1:١", "1:١"),
+    ("1 qid:1 1:１.5", "1:１.5"),
+    ("٢ qid:1 1:0.5", "٢"),
+])
+def test_parse_rejects_underscored_and_non_ascii_numbers(bad, token):
+    # int() and float() read "1_0" as 10 and the Arabic-Indic "١" as 1.
+    with pytest.raises(ParseError, match="line 2: numeric token") as exc:
+        parse_letor(f"1 qid:1 1:0.5\n{bad}\n1 qid:1 1:0.5")
+    assert repr(token) in str(exc.value)
+
+
+def test_parse_keeps_query_ids_with_underscores_and_non_ascii():
+    docs = parse_letor("1 qid:q_1 1:0.5\n0 qid:é 1:0.25 # café")
+    assert [d.query_id for d in docs] == ["q_1", "é"]
+
+
+def test_parse_reads_an_iterable_once_and_lazily():
+    text = "# head\n1 qid:a 2:0.5\n\n0 qid:a 1:-0.0 3:2\n"
+    docs = parse_letor(io.StringIO(text))
+    assert [d.features.tolist() for d in docs] == [[0.0, 0.5, 0.0], [-0.0, 0.0, 2.0]]
+    assert np.signbit(docs[1].features[0])
+
+    def lines():
+        yield "1 qid:a 1:0.5"
+        yield "1 qid:a 1:x"
+        raise AssertionError("line 3 read after line 2 failed")
+
+    with pytest.raises(ParseError, match="line 2"):
+        parse_letor(lines())
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+_BAD_LINES = ["x qid:1 1:0.5", "1 1:0.5", "1 qid:1 1:abc", "1 qid:1 1:0.1 1:0.2",
+              "1 qid:1 0:0.5", "1 qid:1 1:inf", "1_0 qid:1 1:0.5", "1 qid:1 1:١"]
+
+
+@st.composite
+def _letor_lines(draw):
+    kind = draw(st.sampled_from(["doc"] * 6 + ["blank", "comment", "bad"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return "# a comment: 1 qid:9 1:5"
+    if kind == "bad":
+        return draw(st.sampled_from(_BAD_LINES))
+    keys = draw(st.lists(st.integers(1, 12), unique=True, max_size=12))
+    values = [draw(st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([0.0, -0.0, 1e308])) for _ in keys]
+    feats = " ".join(f"{k}:{v!r}" for k, v in zip(keys, values))
+    label, qid = draw(st.integers(0, 4)), draw(st.sampled_from(["1", "2", "q_3"]))
+    tail = draw(st.sampled_from(["", " # doc", "  "]))
+    return f"{label} qid:{qid} {feats}{tail}"
+
+
+def _parse_outcome(parse, text):
+    try:
+        docs = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line_no, str(exc))
+    return [(d.relevance, d.query_id, d.doc_index, d.features.shape, d.features.tobytes())
+            for d in docs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(_letor_lines(), max_size=12),
+    seps=st.lists(st.sampled_from(_SEPARATORS), min_size=12, max_size=12),
+    final=st.sampled_from(["", "\n", "\r\n"]),
+    as_iterable=st.booleans(),
+)
+def test_parse_matches_the_dict_oracle(lines, seps, final, as_iterable):
+    text = "".join(line + sep for line, sep in zip(lines, seps)) + final
+    if as_iterable:
+        ours = _parse_outcome(parse_letor, iter(text.splitlines(keepends=True)))
+        expected = _parse_outcome(oracles.parse_letor_dicts,
+                                  iter(text.splitlines(keepends=True)))
+    else:
+        ours = _parse_outcome(parse_letor, text)
+        expected = _parse_outcome(oracles.parse_letor_dicts, text)
+    assert ours == expected
+
+
+def test_parse_memory_follows_the_dense_output():
+    # 1,600 lines x 136 features, the longlist-mslr shape. A dict of boxed
+    # floats per line held to the end peaked at about 10x the output.
+    rng = np.random.default_rng(5)
+    X = np.round(rng.random((1600, 136)), 6)
+    text = "".join(
+        f"{i % 3} qid:{i // 200} " + " ".join(f"{k}:{v!r}" for k, v in enumerate(x.tolist(), 1))
+        + "\n"
+        for i, x in enumerate(X)
+    )
+    del X
+    tracemalloc.start()
+    try:
+        docs = parse_letor(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = len(docs) * docs[0].features.nbytes
+    assert dense == 1600 * 136 * 8
+    assert peak <= 4 * dense, f"parse peak {peak / dense:.1f}x the dense output"

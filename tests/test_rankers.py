@@ -15,6 +15,7 @@ from rankshap import (
     rank,
     sample_talent_background,
 )
+from rankshap.rankers import rank_many
 
 
 def test_rank_basic():
@@ -35,6 +36,13 @@ def test_rank_matches_sort_oracle(rng):
 def test_rank_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         rank([0.1, float("nan")])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_rank_many_rejects_infinite_scores(bad):
+    # Infinite scores tie, so they would rank by document index alone.
+    with pytest.raises(ValueError, match="non-finite score"):
+        rank_many(np.array([[0.1, 0.2], [0.3, bad]]))
 
 
 def test_rank_rejects_empty():
@@ -125,3 +133,14 @@ def test_load_scorer_rejects_unknown_keys(cfg, stray):
     message = f"{cfg['kind']} scorer config has unknown keys {stray}"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_scorer(cfg)
+
+
+@pytest.mark.parametrize("weights, bad", [
+    (["1", "2", "3"], "weight 0 must be a number, got '1'"),
+    ([1.0, 2.0, True], "weight 2 must be a number, got True"),
+    ([1, False, 0.5], "weight 1 must be a number, got False"),
+])
+def test_load_scorer_rejects_string_and_bool_weights(weights, bad):
+    # float() would read "1" as 1.0 and true as 1.0.
+    with pytest.raises(ValueError, match=re.escape(f"linear scorer {bad}")):
+        load_scorer({"kind": "linear", "weights": weights})
