@@ -31,8 +31,8 @@ def check_exact_width(n: int) -> None:
 
 def chunk_size(item_bytes: int, group: int = 1) -> int:
     """Items per chunk: whole groups of `group` items within MASK_BUDGET_BYTES,
-    and at least one group."""
-    return group * max(1, MASK_BUDGET_BYTES // (group * item_bytes))
+    and at least one group; an item of 0 bytes (a row of no columns) counts as 1."""
+    return group * max(1, MASK_BUDGET_BYTES // (group * max(item_bytes, 1)))
 
 
 def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -183,10 +183,10 @@ class CoalitionGame:
 
     Given the `scorer` and the rows it scores, the game plays only the columns
     in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
-    row) pairs on them and evaluates one of each key. An unread column can
-    still make a zero score -0.0 (x * 0.0 for negative x) or NaN (infinite x),
-    so it is played unless its values are finite and, where a value is a
-    score, of one sign. Every output keeps the bytes of the full game.
+    row) pairs on them and evaluates one of each key; a `reads_only` scorer is given
+    them alone. For another, an unread column can still make a zero score -0.0 (x * 0.0
+    for negative x) or NaN (infinite x), so it is played unless its values are finite
+    and, where a value is a score, of one sign. Every output keeps the bytes of the full game.
     """
 
     _signed = True  # whether a value keeps the sign of a zero score; a ranking does not
@@ -198,11 +198,11 @@ class CoalitionGame:
         if self.background.ndim != 2 or not len(self.background) or self.background.shape[1] != n:
             raise DimensionError(f"background shape {self.background.shape} is not (>= 1, {n})")
         self.scorer, self.X = scorer, X
-        self._played, self._away = np.arange(n), np.arange(0)
+        self._played, self._away, self._cols = np.arange(n), np.arange(0), slice(None)
         if scorer is not None:
             self._play()
         first, self._inverse = first_rows(self.background[:, self._played])
-        self._distinct = self.background[first]
+        self._distinct = np.ascontiguousarray(self.background[first][:, self._cols])
         self._table = None
 
     def _play(self) -> None:
@@ -214,19 +214,21 @@ class CoalitionGame:
                              f" feature indices in [0, {n}), got {reads.tolist()}")
         rows = np.vstack([self.X, self.background])
         sign = np.signbit(rows)
-        away = np.isfinite(rows).all(axis=0) & (sign.all(axis=0) | ~sign.any(axis=0)
-                                                | (not self._signed))
+        away = scorer.reads_only | np.isfinite(rows).all(axis=0) & (
+            sign.all(axis=0) | ~sign.any(axis=0) | (not self._signed))
         away[reads.astype(np.intp)] = False  # np.asarray([]) is float
         self._played, self._away = np.flatnonzero(~away), np.flatnonzero(away)
-        self._away_sign = sign[0, away]
+        if scorer.reads_only and len(self._played) < n:  # `_values` gets those columns alone
+            self._cols, self._away = self._played, self._away[:0]
+        self._away_sign = sign[0, self._away]
+        self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
 
     def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """v of k coalitions, one per row of the (k, n) boolean `visible` (or a
-        single row for all k) and of the (k, n) background `rows`: `X` masked
-        by each pair, scored and reduced. A chunk holds as many whole batches
-        of the distinct background rows as fit in MASK_BUDGET_BYTES of masked
-        rows, and at least one; each chunk makes one score and reduce call."""
-        m, n = self.X.shape
+        """v of k coalitions, one per row of the boolean `visible` (or one row for all k)
+        and of the background `rows`, both on the columns `_cols`: `X` masked by each pair,
+        scored and reduced. A chunk holds whole batches of the distinct background rows
+        within MASK_BUDGET_BYTES of masked rows, and at least one; one score call each."""
+        m, n = self._X.shape
         k = len(rows)
         step = chunk_size(m * n * 8, len(self._distinct))
         if k > step:
@@ -235,7 +237,7 @@ class CoalitionGame:
         for lo in range(0, k, step):
             vis, B = visible[lo:lo + step], rows[lo:lo + step]
             # (c, m, n): each coalition masks every row of X identically.
-            masked = np.where(vis[:, None, :], self.X, B[:, None, :])
+            masked = np.where(vis[:, None, :], self._X, B[:, None, :])
             scores = self.scorer.score_batch(masked.reshape(len(B) * m, n))
             out[lo:lo + len(B)] = self._reduce(scores.reshape(len(B), m))
         return out
@@ -250,10 +252,10 @@ class CoalitionGame:
         game not of their signs. Runs of consecutive pairs with one key (the
         prefixes of a permutation that add unplayed features) collapse to
         their first pair before the run heads are keyed by their bytes."""
-        P, away = self._played, rows[:, self._away]
+        P, C, away = self._played, self._cols, rows[:, self._away]
         if len(P) == self.n or len(rows) < 2 or not np.isfinite(away).all() or (
                 self._signed and (np.signbit(away) != self._away_sign).any()):
-            return self._values(visible, rows)
+            return self._values(visible[:, C], rows[:, C])
         visible = np.broadcast_to(visible, rows.shape)
         vis, bits = visible[:, P], rows[:, P].astype(float, copy=False).view(np.uint64)
         run = np.ones(len(rows), dtype=bool)  # True where a run of equal keys starts
@@ -262,8 +264,9 @@ class CoalitionGame:
         first, inverse = first_rows(np.hstack([vis[heads].view(np.uint8),
                                                bits[heads].view(np.uint8)]))
         first = heads[first]
-        del away, vis, bits  # before `_values` masks: lowers peak memory
-        return self._values(visible[first], rows[first])[inverse[np.cumsum(run) - 1]]
+        vis, B = (vis[first], bits[first].view(float)) if C is P else (visible[first], rows[first])
+        del away, bits  # before `_values` masks: lowers peak memory
+        return self._values(vis, B)[inverse[np.cumsum(run) - 1]]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0
@@ -281,7 +284,7 @@ class CoalitionGame:
             check_exact_width(n)
             r = len(P)
             pattern_means = np.empty(1 << r)
-            step = chunk_size(len(self._distinct) * n * 8)
+            step = chunk_size(self._distinct.nbytes)
             for lo in range(0, 1 << r, step):
                 patterns = np.arange(lo, min(lo + step, 1 << r), dtype=np.uint32)[:, None]
                 visible = np.zeros((len(patterns), n), dtype=bool)
@@ -311,11 +314,11 @@ class CoalitionGame:
         """Background means of coalitions that differ on the played columns,
         tiled over the distinct background rows in chunks within
         MASK_BUDGET_BYTES of rows and read back in background order."""
-        k, n = self._distinct.shape
+        k = len(self._distinct)
         out = np.empty(len(visible))
-        step = chunk_size(k * n * 8)
+        step = chunk_size(self._distinct.nbytes)
         for lo in range(0, len(visible), step):
-            vis = visible[lo:lo + step]
+            vis = visible[lo:lo + step, self._cols]
             c = len(vis)
             vals = self._values(np.repeat(vis, k, axis=0), np.tile(self._distinct, (c, 1)))
             # np.take gives a C-contiguous (c, len(inverse)) array, whose row means

@@ -7,13 +7,23 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DimensionError
+
 
 class Scorer:
-    """Deterministic document scorer: feature vector -> real score."""
+    """Deterministic document scorer: feature vector -> real score. A `reads_only` scorer
+    also scores rows of its `reads(n)` columns alone, with the full rows' bytes, and games
+    pass it those; overriding `score_batch` or `reads` resets it unless set again."""
 
     name: str = "scorer"
     # Feature width the scorer reads, or None if it takes any width.
     n_features: int | None = None
+    reads_only: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "reads_only" not in vars(cls) and {"score_batch", "reads"} & vars(cls).keys():
+            cls.reads_only = False
 
     def score(self, features: np.ndarray) -> float:
         """Score of one feature vector: a one-row `score_batch`."""
@@ -36,7 +46,9 @@ class Scorer:
 
 
 class LinearScorer(Scorer):
-    """Dot product of a fixed weight vector with the features."""
+    """Dot product of a fixed weight vector with the features, over its non-zero terms."""
+
+    reads_only = True
 
     def __init__(self, weights):
         try:
@@ -52,15 +64,23 @@ class LinearScorer(Scorer):
         self.weights.setflags(write=False)
         self.n_features = len(self.weights)
         self.name = f"linear[{self.n_features}]"
+        self._nonzero = np.flatnonzero(self.weights)
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
-        # Row-wise reduction instead of gemv: BLAS may sum remainder rows in a
-        # different order, giving bit-different scores for identical inputs and
-        # breaking the deterministic tie-break on fully masked groups.
-        return (np.asarray(X) * self.weights).sum(axis=1)
+        X, r = np.asarray(X), len(self._nonzero)
+        if X.ndim != 2 or X.shape[1] not in (self.n_features, r):
+            raise DimensionError(f"scorer {self.name} scores rows of {self.n_features} features"
+                                 f" or of its {r} read ones, got shape {X.shape}")
+        # Row-wise sums of C-ordered rows: gemv, or X[:, idx], which is F-ordered, may sum a
+        # row in another order by its place in the batch, giving bit-different scores for
+        # identical rows and breaking the deterministic tie-break on fully masked groups.
+        if r == self.n_features:
+            return (X * self.weights).sum(axis=1)
+        X = X.take(self._nonzero, axis=1) if X.shape[1] > r else np.ascontiguousarray(X)
+        return (X * self.weights[self._nonzero]).sum(axis=1)
 
     def reads(self, n: int) -> np.ndarray:
-        return np.flatnonzero(self.weights)
+        return self._nonzero.copy()
 
 
 def rank(scores) -> np.ndarray:

@@ -5,12 +5,14 @@
 OUT must be empty or absent. The script writes a seeded 10-feature LETOR
 file, which holds a single-document query, a second one in SVMLight-sparse
 form (keys out of order, zeros omitted, a last line short of 10 features),
-and a sparse and a dense linear scorer into OUT. It then runs `explain`
-(kernel, exact, permutation, and on the sparse file), `ground-truth` (with
-`--stability`, and over several permutation chunks of a background larger
-than the file's 16 documents), `evaluate` (exact and estimated ground truth,
-the exact and permutation estimators, and saved attributions) and
-`synthetic` from inside OUT, with relative paths, so that the config
+a sparse and a dense linear scorer, and a third file and scorer whose
+weights hold 0.0 and -0.0 on columns of nonnegative values and of both
+signs into OUT. It then runs `explain` (kernel, exact, permutation, and on
+the sparse file), `ground-truth` (with `--stability`, and over several
+permutation chunks of a background larger than the file's 16 documents),
+`evaluate` (exact and estimated ground truth, the exact and permutation
+estimators, and saved attributions), exact `explain` and `evaluate` on the
+third pair, and `synthetic` from inside OUT, with relative paths, so that the config
 sidecars do not name OUT. Running it against two source trees into two
 directories of the same name and comparing them with `diff -r` checks that
 a change leaves every output byte-identical. It exits 1 naming the first
@@ -61,6 +63,19 @@ def write_inputs() -> None:
         lines.append("\n")
     lines.append(f"1 qid:s2 3:0.5 1:-1.25 6:2.0 # shorter than {N_FEATURES} features\n")
     Path("sparse.txt").write_text("".join(lines))
+    # Weights 0.0 and -0.0 on a column of both signs and on one of nonnegative
+    # values; every other column is nonnegative too.
+    signed = dense.copy()
+    signed[[2, 5, 8]] = [-0.0, 0.0, 0.0]
+    Path("signed.json").write_text(json.dumps({"kind": "linear", "weights": signed.tolist()}))
+    lines = []
+    for qid, docs in (("p", 6), ("q", 5)):
+        for _ in range(docs):
+            x = np.abs(rng.normal(size=N_FEATURES))
+            x[5] *= rng.choice([-1.0, 1.0])
+            features = " ".join(f"{k + 1}:{v:.6f}" for k, v in enumerate(x))
+            lines.append(f"{rng.integers(3)} qid:{qid} {features}\n")
+    Path("signed.txt").write_text("".join(lines))
 
 
 def commands() -> list[list[str]]:
@@ -94,6 +109,12 @@ def commands() -> list[list[str]]:
              "--pred", out + "explain-kernel/query_a.csv", out + "ground-truth/gt_a.csv",
              "--out", out + "evaluate-files.csv"],
         ]
+    signed = ["--data", "signed.txt", "--scorer", "signed.json", "--seed", "3"]
+    runs += [
+        ["explain", *signed, "--estimator", "exact", "--background", "8",
+         "--out", "signed/explain-exact"],
+        ["evaluate", *signed, "--out", "signed/evaluate.csv"],
+    ]
     runs += [["synthetic", "--variant", variant, "--seed", "3", "--out", f"synthetic-{variant}.csv"]
              for variant in ("biased", "unbiased")]
     return runs

@@ -20,6 +20,7 @@ line is read.
 
 from __future__ import annotations
 
+import io
 from typing import Iterable
 
 import numpy as np
@@ -44,8 +45,9 @@ from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 def parse_letor_dicts(text: str | Iterable[str]) -> list[Document]:
     """`parse_letor` through one `{key: value}` dict per line, all held until
-    the last line is read, then densified at the widest key."""
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    the last line is read, then densified at the widest key. A `str` is read
+    as a text-mode file reads it."""
+    lines = list(io.StringIO(text, newline=None)) if isinstance(text, str) else list(text)
     rows = []
     for line_no, line in enumerate(lines, start=1):
         if not line.split("#", 1)[0].strip():

@@ -425,7 +425,7 @@ def test_pointwise_kernel_scores_in_budget_chunks(coalitions_per_chunk):
     limit = math.ceil(c * coalition_bytes / budget) + 1
     # One extra call ranks the query for its top documents.
     assert score.call_count - 1 <= top_docs * limit
-    assert max(len(call.args[0]) for call in score.call_args_list) * n * 8 <= budget
+    assert max(call.args[0].nbytes for call in score.call_args_list) <= budget
 
 
 def repeated_background(rng, n, seed):

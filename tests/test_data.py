@@ -251,14 +251,28 @@ def _parse_outcome(parse, text):
 )
 def test_parse_matches_the_dict_oracle(lines, seps, final, as_iterable):
     text = "".join(line + sep for line, sep in zip(lines, seps)) + final
-    if as_iterable:
-        ours = _parse_outcome(parse_letor, iter(text.splitlines(keepends=True)))
-        expected = _parse_outcome(oracles.parse_letor_dicts,
-                                  iter(text.splitlines(keepends=True)))
+    if as_iterable:  # the lines of a text-mode file
+        ours = _parse_outcome(parse_letor, io.StringIO(text, newline=None))
+        expected = _parse_outcome(oracles.parse_letor_dicts, io.StringIO(text, newline=None))
     else:
         ours = _parse_outcome(parse_letor, text)
         expected = _parse_outcome(oracles.parse_letor_dicts, text)
     assert ours == expected
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS)
+def test_parse_splits_a_str_as_an_open_file_does(tmp_path, sep):
+    # Only "\n", "\r\n" and "\r" end a line of a text-mode file; the other
+    # str.splitlines boundaries are whitespace inside a line.
+    path = tmp_path / "data.txt"
+    path.write_bytes(f"1 qid:1 1:0.5{sep}2:1\n0 qid:1 1:0.25\r\n2 qid:2 2:3\r1 qid:2 1:1"
+                     .encode())
+    with path.open() as fh:
+        from_file = _parse_outcome(parse_letor, fh)
+    assert _parse_outcome(parse_letor, path.read_text()) == from_file
+    assert _parse_outcome(parse_letor, path.read_bytes().decode()) == from_file
+    if sep not in ("\n", "\r\n", "\r"):
+        assert len(from_file) == 4 and from_file[0][4] == np.array([0.5, 1.0]).tobytes()
 
 
 def test_parse_memory_follows_the_dense_output():

@@ -15,6 +15,7 @@ from rankshap import (
     rank,
     sample_talent_background,
 )
+from rankshap.errors import DimensionError
 from rankshap.rankers import rank_many
 
 
@@ -69,8 +70,9 @@ def test_linear_scorer_batch_matches_scalar(rng):
     n=st.integers(1, 150),
     k=st.integers(1, 40),
     position=st.integers(0, 40),
-    kind=st.sampled_from(["linear", "talent", "interaction"]),
+    kind=st.sampled_from(["linear", "sparse", "talent", "interaction"]),
 )
+@example(seed=0, n=40, k=12, position=3, kind="sparse")
 # An einsum pair term sums the 2 x 2 products in an order that depends on the batch.
 @example(seed=0, n=2, k=35, position=0, kind="interaction")
 def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
@@ -83,14 +85,75 @@ def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
         X = sample_talent_background(k + 1, seed).vectors
     else:
         weights = rng.normal(size=n)
-        scorer = (LinearScorer(weights) if kind == "linear"
-                  else InteractionScorer(weights, rng.normal(size=(n, n))))
+        if kind == "sparse":
+            weights[rng.random(n) < 0.5] = 0.0
+        scorer = (InteractionScorer(weights, rng.normal(size=(n, n))) if kind == "interaction"
+                  else LinearScorer(weights))
         X = rng.normal(size=(k + 1, n))
     alone = np.concatenate([scorer.score_batch(row[None, :]) for row in X])
     assert scorer.score_batch(X).tobytes() == alone.tobytes()
     at = min(position, k)
     batch = np.insert(X[1:], at, X[0], axis=0)
     assert scorer.score_batch(batch)[at].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_linear_scorer_rejects_rows_of_another_width(width):
+    # Rows of n = 4 or of the 3 read features are scored; a 1-column row used
+    # to broadcast against every weight.
+    scorer = LinearScorer([1, 2, 0, 4])
+    with pytest.raises(DimensionError, match=r"scorer linear\[4\]"):
+        scorer.score_batch(np.ones((3, width)))
+    with pytest.raises(DimensionError, match=r"scorer linear\[4\]"):
+        scorer.score(np.full(width, 0.5))
+    with pytest.raises(DimensionError, match=r"scorer linear\[2\]"):
+        LinearScorer([1.0, 2.0]).score_batch(np.ones((3, 1)))
+
+
+def test_linear_scorer_sums_its_non_zero_terms_only(rng):
+    w = np.array([0.5, 0.0, -2.0, -0.0, 1.5])
+    scorer = LinearScorer(w)
+    assert scorer.reads_only and scorer.reads(5).tolist() == [0, 2, 4]
+    X = rng.normal(size=(6, 5))
+    expected = (X[:, [0, 2, 4]] * w[[0, 2, 4]]).sum(axis=1)
+    assert scorer.score_batch(X).tobytes() == expected.tobytes()
+    assert scorer.score_batch(X[:, [0, 2, 4]]).tobytes() == expected.tobytes()
+    # No unread column moves a score, not the sign of a zero nor inf * 0.
+    Y = X.copy()
+    Y[:, [0, 2, 4]] = 0.0
+    Y[:, 1], Y[:, 3] = -np.inf, -1.0
+    assert scorer.score_batch(Y).tobytes() == np.zeros(6).tobytes()
+    assert LinearScorer([0.0, -0.0]).score_batch(Y[:, :2]).tobytes() == np.zeros(6).tobytes()
+    assert LinearScorer([0.0, -0.0]).score_batch(np.ones((2, 0))).tolist() == [0.0, 0.0]
+    # Rows of 23 read features give the same bytes at full width, read
+    # columns alone, either memory order and one at a time.
+    w = rng.normal(size=46)
+    w[rng.choice(46, 23, replace=False)] = 0.0
+    scorer, X = LinearScorer(w), rng.normal(size=(50, 46))
+    narrow = X[:, scorer.reads(46)]  # F-ordered
+    expected = np.array([scorer.score(x) for x in X])
+    for rows in (X, np.asfortranarray(X), narrow, np.ascontiguousarray(narrow)):
+        assert scorer.score_batch(rows).tobytes() == expected.tobytes()
+    # Without a zero weight the scorer keeps its full-row sum.
+    dense = LinearScorer(w + 3.0)
+    assert dense.score_batch(X).tobytes() == (X * (w + 3.0)).sum(axis=1).tobytes()
+
+
+def test_overriding_score_batch_or_reads_opts_out_of_read_columns():
+    class Signed(LinearScorer):
+        def score_batch(self, X):
+            return (np.asarray(X) * self.weights).sum(axis=1, initial=-0.0)
+
+    class Listed(LinearScorer):
+        def reads(self, n):
+            return list(range(n))
+
+    class Declared(Signed):
+        reads_only = True
+
+    assert not Scorer.reads_only and LinearScorer.reads_only
+    assert not Signed.reads_only and not Listed.reads_only and Declared.reads_only
+    assert not TalentScorer.reads_only and not InteractionScorer.reads_only
 
 
 def test_score_derives_from_score_batch():

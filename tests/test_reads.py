@@ -2,15 +2,20 @@
 background rows, its coalitions and its (coalition, row) pairs on those
 features, so that a feature no score reads costs no evaluation.
 
+A `LinearScorer` opts in to being given the read columns alone
+(`reads_only`), so its games mask and score only those.
+
 Every output must keep the bytes of the full game, which a scorer that hides
 its `reads` plays, as a tracing wrapper that delegates only `score_batch`
 does: exact, kernel (sampled and fully enumerated) and permutation
 estimates, listwise and pointwise, greedy selection, and a kernel that reads
-the table an exact estimate filled. An unread column still moves the sign of
-a zero linear score (x * 0.0 is -0.0 for negative x), so the inputs hold
-columns of one sign and of mixed signs, signed zeros in read and unread
-columns, background rows that differ only in unread columns, and all-zero
-weights; a scorer may name its reads as a Python list, `[]` for none.
+the table an exact estimate filled, also over a background whose unread
+columns are unlike the game's own and at small mask budgets. An unread
+column still moves the sign of a zero score that sums every column (x * 0.0
+is -0.0 for negative x), so the inputs hold columns of one sign and of mixed
+signs, signed zeros in read and unread columns, background rows that differ
+only in unread columns, and all-zero and -0.0 weights; a scorer may name its
+reads as a Python list, `[]` for none.
 """
 
 from unittest import mock
@@ -111,8 +116,19 @@ def fingerprint(attr) -> tuple:
     return attr.values.tobytes(), np.float64(attr.base_value).tobytes(), sorted(attr.meta.items())
 
 
-def outputs(group, scorer, B, seed):
-    """The bytes of every estimate that the game's keys may shorten."""
+def unlike(B, w, how, seed):
+    """B with the unread columns of a row made infinite or of the other sign."""
+    other, unread = B.copy(), np.flatnonzero(w == 0)
+    if how is not None and unread.size:
+        row = np.random.default_rng(seed).integers(len(B))
+        other[row, unread] = np.inf if how == "inf" else -other[row, unread]
+    return other
+
+
+def outputs(group, scorer, B, seed, other=None):
+    """The bytes of every estimate that the game's keys may shorten, and of
+    the exact, permutation and sampled kernel estimates of the game over the
+    background `other`."""
     n = group.n
     objective = KendallTauObjective(reference_ranking(group, scorer))
     configs = [
@@ -144,6 +160,13 @@ def outputs(group, scorer, B, seed):
         out.append(fingerprint(_run_estimator(game, B, configs[2])))
     except EstimationError as exc:
         out.append(str(exc))
+    if other is not None:
+        for game in (ListwiseGame(group, scorer, objective, B), _PointwiseGame(x, scorer, B)):
+            for cfg in configs[:3]:
+                try:
+                    out.append(fingerprint(_run_estimator(game, other, cfg)))
+                except EstimationError as exc:
+                    out.append(str(exc))
     return out
 
 
@@ -158,18 +181,54 @@ def outputs(group, scorer, B, seed):
     signed_zeros=st.booleans(),
     signed_sum=st.booleans(),
     listed=st.booleans(),
+    how=st.sampled_from([None, "inf", "sign"]),
+    budget=st.sampled_from([1, 200, masking.MASK_BUDGET_BYTES]),
 )
 @example(n=1, m=3, bsize=2, seed=0, zeros="all", twins=True, signed_zeros=True,
-         signed_sum=True, listed=False)
+         signed_sum=True, listed=False, how=None, budget=masking.MASK_BUDGET_BYTES)
 @example(n=5, m=4, bsize=3, seed=1, zeros="some", twins=True, signed_zeros=True,
-         signed_sum=False, listed=False)
+         signed_sum=False, listed=False, how="sign", budget=200)
 @example(n=4, m=3, bsize=3, seed=0, zeros="all", twins=True, signed_zeros=True,
-         signed_sum=False, listed=True)
+         signed_sum=False, listed=True, how="inf", budget=1)
+@example(n=6, m=4, bsize=4, seed=2, zeros="some", twins=False, signed_zeros=True,
+         signed_sum=False, listed=False, how="inf", budget=1)
 def test_outputs_match_a_scorer_that_hides_its_reads(n, m, bsize, seed, zeros, twins,
-                                                      signed_zeros, signed_sum, listed):
+                                                      signed_zeros, signed_sum, listed, how,
+                                                      budget):
     group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, signed_sum)
     played = ListReads(scorer) if listed else scorer
-    assert outputs(group, played, B, seed) == outputs(group, HiddenReads(scorer), B, seed)
+    if signed_sum and how == "inf":
+        how = "sign"  # its inf * 0.0 terms make NaN scores, which every estimate rejects
+    other = unlike(B, scorer.weights, how, seed)
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        assert (outputs(group, played, B, seed, other)
+                == outputs(group, HiddenReads(scorer), B, seed, other))
+
+
+@pytest.mark.parametrize("kind", ["linear", "signed", "hidden"])
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, pointwise):
+    # Nonnegative rows, so the full-row games are keyed on the read columns
+    # too; only the linear scorer's games mask and score those alone.
+    rng = np.random.default_rng(5)
+    n, m = 6, 4
+    w = [1.0, 0.0, -2.0, -0.0, 0.5, 0.0]
+    scorer = {"linear": LinearScorer, "signed": SignedLinear,
+              "hidden": lambda w: HiddenReads(LinearScorer(w))}[kind](w)
+    group, B = make_group(rng.random((m, n))), rng.random((5, n))
+    if pointwise:
+        game = _PointwiseGame(group.documents[0].features, scorer, B)
+    else:
+        game = ListwiseGame(group, scorer, KendallTauObjective(reference_ranking(group, scorer)), B)
+    assert game._played.tolist() == ([0, 2, 4] if kind != "hidden" else list(range(n)))
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+        game.means(rng.random((7, n)) < 0.5)
+        game.value([0, 3], B[1])
+        permutation_shapley(game.value, n, B, 5, 1)
+        permutation_shapley(game.value, n, B[::-1], 5, 1)  # through another game
+        game.table()
+    widths = {call.args[0].shape[1] for call in score.call_args_list}
+    assert widths == ({3} if kind == "linear" else {n})
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,31 +346,37 @@ def test_null_features_cost_no_evaluation():
         keys |= {(frozenset(sigma[:j].tolist()) & {2, 5}, tuple(b[[2, 5]]))
                  for j in range(n + 1)}
     assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
-    # The pointwise game keys only unread columns of one sign.
+    # The pointwise game of a scorer that takes full rows keys only unread
+    # columns of one sign; a linear scorer's scores read no unread column.
     x = group.documents[0].features
-    assert _PointwiseGame(x, scorer, B)._played.tolist() == [2, 5]
-    assert _PointwiseGame(x, scorer, np.vstack([B, -B[:1]]))._played.tolist() == list(range(n))
+    mixed = np.vstack([B, -B[:1]])
+    assert _PointwiseGame(x, SignedLinear(w), B)._played.tolist() == [2, 5]
+    assert _PointwiseGame(x, SignedLinear(w), mixed)._played.tolist() == list(range(n))
+    assert _PointwiseGame(x, scorer, mixed)._played.tolist() == [2, 5]
 
 
 def test_values_evaluates_rows_unlike_its_own_in_full():
-    # Rows whose unread columns are not finite, or in the pointwise game not
-    # of the game's sign, are not keyed: each pair is scored.
-    rng = np.random.default_rng(1)
-    n = 4
-    scorer = LinearScorer([1.0, 0.0, 0.0, 2.0])
-    game = _PointwiseGame(rng.random(n), scorer, rng.random((2, n)))
-    rows = np.repeat(rng.random((1, n)), 3, axis=0)
-    rows[:, 1] = [0.25, 0.5, 0.75]  # one key: the rows differ in an unread column only
-    visible = np.zeros((1, n), dtype=bool)
-    for bad, scored in ((None, 1), (-0.0, 3), (np.inf, 3)):
-        if bad is not None:
-            rows[1, 2] = bad
-        with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
-                np.errstate(invalid="ignore"):  # inf * 0.0
-            got = game.values(visible, rows)
-            expected = [scorer.score(np.where(visible[0], game.x, r)) for r in rows]
-        assert len(score.call_args_list[0].args[0]) == scored
-        assert got.tobytes() == np.array(expected).tobytes()
+    # For a scorer that takes full rows, rows whose unread columns are not
+    # finite, or in the pointwise game not of the game's sign, are not keyed:
+    # each pair is scored. A linear scorer reads no unread column, so its
+    # game keys them all.
+    for kind, unlike in ((SignedLinear, 3), (LinearScorer, 1)):
+        rng = np.random.default_rng(1)
+        n = 4
+        scorer = kind([1.0, 0.0, 0.0, 2.0])
+        game = _PointwiseGame(rng.random(n), scorer, rng.random((2, n)))
+        rows = np.repeat(rng.random((1, n)), 3, axis=0)
+        rows[:, 1] = [0.25, 0.5, 0.75]  # one key: the rows differ in an unread column only
+        visible = np.zeros((1, n), dtype=bool)
+        for bad, scored in ((None, 1), (-0.0, unlike), (np.inf, unlike)):
+            if bad is not None:
+                rows[1, 2] = bad
+            with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
+                    np.errstate(invalid="ignore"):  # inf * 0.0
+                got = game.values(visible, rows)
+                expected = [scorer.score(np.where(visible[0], game.x, r)) for r in rows]
+            assert len(score.call_args_list[0].args[0]) == scored
+            assert got.tobytes() == np.array(expected).tobytes()
 
 
 class BadReads(LinearScorer):
