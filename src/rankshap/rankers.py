@@ -35,7 +35,9 @@ class Scorer:
         A row's score must not depend on the other rows of the batch: games
         score coalitions in chunks, and a fully masked list ranks by exact
         ties. A BLAS matrix-vector product breaks this, because it sums the
-        rows of a trailing block in a different order.
+        rows of a trailing block in a different order, and so does a row sum
+        over an F-ordered batch; `LinearScorer` sums each C-ordered float64
+        row with einsum, in an order fixed for a given numpy build.
         """
         raise NotImplementedError
 
@@ -65,19 +67,18 @@ class LinearScorer(Scorer):
         self.n_features = len(self.weights)
         self.name = f"linear[{self.n_features}]"
         self._nonzero = np.flatnonzero(self.weights)
+        self._w = self.weights[self._nonzero]
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         X, r = np.asarray(X), len(self._nonzero)
         if X.ndim != 2 or X.shape[1] not in (self.n_features, r):
             raise DimensionError(f"scorer {self.name} scores rows of {self.n_features} features"
                                  f" or of its {r} read ones, got shape {X.shape}")
-        # Row-wise sums of C-ordered rows: gemv, or X[:, idx], which is F-ordered, may sum a
-        # row in another order by its place in the batch, giving bit-different scores for
-        # identical rows and breaking the deterministic tie-break on fully masked groups.
-        if r == self.n_features:
-            return (X * self.weights).sum(axis=1)
-        X = X.take(self._nonzero, axis=1) if X.shape[1] > r else np.ascontiguousarray(X)
-        return (X * self.weights[self._nonzero]).sum(axis=1)
+        if X.shape[1] > r:
+            X = X.take(self._nonzero, axis=1)
+        # einsum sums each C-ordered row in one fixed order from +0.0 and never calls BLAS;
+        # gemv, or an F-ordered X, may sum a row in another order by its place in the batch.
+        return np.einsum("ij,j->i", np.ascontiguousarray(X, dtype=float), self._w)
 
     def reads(self, n: int) -> np.ndarray:
         return self._nonzero.copy()

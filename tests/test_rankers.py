@@ -70,15 +70,25 @@ def test_linear_scorer_batch_matches_scalar(rng):
     n=st.integers(1, 150),
     k=st.integers(1, 40),
     position=st.integers(0, 40),
+    offset=st.integers(0, 3),
     kind=st.sampled_from(["linear", "sparse", "talent", "interaction"]),
 )
-@example(seed=0, n=40, k=12, position=3, kind="sparse")
+@example(seed=0, n=40, k=12, position=3, offset=0, kind="sparse")
 # An einsum pair term sums the 2 x 2 products in an order that depends on the batch.
-@example(seed=0, n=2, k=35, position=0, kind="interaction")
-def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
+@example(seed=0, n=2, k=35, position=0, offset=0, kind="interaction")
+# Linear batches above numpy's 8,192-element iterator buffer, at LETOR-like widths.
+@example(seed=1, n=1, k=9000, position=8191, offset=1, kind="linear")
+@example(seed=2, n=12, k=700, position=683, offset=2, kind="sparse")
+@example(seed=3, n=23, k=400, position=357, offset=3, kind="linear")
+@example(seed=4, n=46, k=200, position=179, offset=1, kind="sparse")
+@example(seed=5, n=46, k=200, position=178, offset=2, kind="linear")
+@example(seed=6, n=136, k=100, position=61, offset=3, kind="linear")
+@example(seed=7, n=136, k=100, position=99, offset=1, kind="sparse")
+def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, offset, kind):
     # The Scorer.score_batch contract, which background means rely on when
     # they score each distinct background row once; the tests' interaction
-    # fixture keeps it too.
+    # fixture keeps it too. Each row is also scored alone from a buffer at
+    # `offset` floats, and a sparse linear scorer at its read width too.
     rng = np.random.default_rng(seed)
     if kind == "talent":
         scorer = TalentScorer(("biased", "unbiased")[seed % 2])
@@ -90,8 +100,26 @@ def test_row_score_does_not_depend_on_its_batch(seed, n, k, position, kind):
         scorer = (InteractionScorer(weights, rng.normal(size=(n, n))) if kind == "interaction"
                   else LinearScorer(weights))
         X = rng.normal(size=(k + 1, n))
-    alone = np.concatenate([scorer.score_batch(row[None, :]) for row in X])
+        # A row whose every product is a zero of either sign.
+        X[-1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+
+    def one_by_one(rows):
+        buffer = np.empty(rows.shape[1] + 3)
+        row = buffer[offset:offset + rows.shape[1]]
+        out = []
+        for x in rows:
+            row[:] = x
+            out.append(scorer.score_batch(row[None, :]))
+        return np.concatenate(out)
+
+    alone = one_by_one(X)
     assert scorer.score_batch(X).tobytes() == alone.tobytes()
+    if kind == "sparse":
+        narrow = np.ascontiguousarray(X[:, scorer.reads(n)])
+        assert scorer.score_batch(narrow).tobytes() == alone.tobytes()
+        assert one_by_one(narrow).tobytes() == alone.tobytes()
+    if kind in ("linear", "sparse"):
+        assert alone[-1].tobytes() == np.zeros(1).tobytes()  # +0.0
     at = min(position, k)
     batch = np.insert(X[1:], at, X[0], axis=0)
     assert scorer.score_batch(batch)[at].tobytes() == alone[0].tobytes()
@@ -125,18 +153,23 @@ def test_linear_scorer_sums_its_non_zero_terms_only(rng):
     assert scorer.score_batch(Y).tobytes() == np.zeros(6).tobytes()
     assert LinearScorer([0.0, -0.0]).score_batch(Y[:, :2]).tobytes() == np.zeros(6).tobytes()
     assert LinearScorer([0.0, -0.0]).score_batch(np.ones((2, 0))).tolist() == [0.0, 0.0]
-    # Rows of 23 read features give the same bytes at full width, read
-    # columns alone, either memory order and one at a time.
+    # With 23 of 46 weights read, or all 46, a batch scores the bytes of its
+    # rows alone as float64, at full width, read columns alone, any memory
+    # order, stride or number type. With every weight non-zero, an F-ordered
+    # batch used to sum in another order.
     w = rng.normal(size=46)
     w[rng.choice(46, 23, replace=False)] = 0.0
-    scorer, X = LinearScorer(w), rng.normal(size=(50, 46))
-    narrow = X[:, scorer.reads(46)]  # F-ordered
-    expected = np.array([scorer.score(x) for x in X])
-    for rows in (X, np.asfortranarray(X), narrow, np.ascontiguousarray(narrow)):
-        assert scorer.score_batch(rows).tobytes() == expected.tobytes()
-    # Without a zero weight the scorer keeps its full-row sum.
+    X = rng.normal(size=(50, 46))
+    ints, floats = rng.integers(-50, 50, size=(20, 46)), X.astype(np.float32)
+    for scorer in (LinearScorer(w), LinearScorer(w + 3.0)):
+        narrow = X[:, scorer.reads(46)]  # F-ordered
+        for rows in (X, np.asfortranarray(X), X[::2], narrow, np.ascontiguousarray(narrow),
+                     ints, floats, np.asfortranarray(floats)):
+            alone = [scorer.score(np.asarray(x, dtype=float)) for x in rows]
+            assert scorer.score_batch(rows).tobytes() == np.array(alone).tobytes()
+    # Without a zero weight the scorer sums every term, in einsum's row order.
     dense = LinearScorer(w + 3.0)
-    assert dense.score_batch(X).tobytes() == (X * (w + 3.0)).sum(axis=1).tobytes()
+    assert dense.score_batch(X).tobytes() == np.einsum("ij,j->i", X, w + 3.0).tobytes()
 
 
 def test_overriding_score_batch_or_reads_opts_out_of_read_columns():
