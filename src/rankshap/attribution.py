@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -412,15 +413,17 @@ def rankingshap_explain(
 
 
 class _PointwiseGame(CoalitionGame):
-    """Coalition game on one document's model score."""
+    """Coalition game on the mean model score of the `(t, n)` rows `X`, or of one
+    row; by linearity its Shapley values are the mean of the rows' own games'."""
 
-    def __init__(self, x: np.ndarray, scorer: Scorer, B: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, X: np.ndarray, scorer: Scorer, B: np.ndarray):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         self.B = B  # perfbench's tracer reads it
-        super().__init__(len(self.x), B, scorer, self.x[None, :])
+        super().__init__(X.shape[1], B, scorer, X)
 
     def _reduce(self, scores: np.ndarray) -> np.ndarray:
-        return scores[:, 0]
+        # A plain mean turns a lone -0.0 score into 0.0; one document keeps its bytes.
+        return scores.sum(axis=1, initial=-0.0) / scores.shape[1]
 
 
 def pointwise_shap_explain(
@@ -430,24 +433,15 @@ def pointwise_shap_explain(
     cfg: EstimatorConfig,
     top_docs: int = 5,
 ) -> Attribution:
-    """Mean of the pointwise score attributions of the top-ranked documents."""
+    """Pointwise score attribution of the mean score of the top-ranked documents."""
+    if isinstance(top_docs, bool) or not isinstance(top_docs, numbers.Integral):
+        raise ValueError(f"top_docs must be an integer, got {top_docs!r}")
     if top_docs < 1:
         raise ValueError(f"top_docs must be at least 1, got {top_docs}")
     B = background_array(background)
-    order = reference_ranking(group, scorer)
-    take = min(top_docs, len(group))
-    values = np.zeros(group.n)
-    base = 0.0
-    for doc in order[:take]:
-        game = _PointwiseGame(group.documents[int(doc)].features, scorer, B)
-        attr = _run_estimator(game, background, cfg)
-        values += attr.values
-        base += attr.base_value
-    # Every document runs the same design, so the last one's counts hold for all.
-    meta = estimator_meta(
-        f"pointwise-{cfg.kind}", attr.meta["n_samples"], len(B), cfg.seed,
-        top_docs=take, query_id=group.query_id,
-    )
-    if "coalitions_evaluated" in attr.meta:
-        meta["coalitions_evaluated"] = attr.meta["coalitions_evaluated"]
-    return Attribution(values=values / take, base_value=base / take, meta=meta)
+    top = reference_ranking(group, scorer)[:top_docs]
+    attr = _run_estimator(_PointwiseGame(group.feature_matrix()[top], scorer, B), background, cfg)
+    meta = dict(attr.meta, estimator=f"pointwise-{cfg.kind}", seed=cfg.seed,
+                top_docs=len(top), query_id=group.query_id)
+    # + 0.0 turns a -0.0 that the kernel fit can give into 0.0, as a sum over documents did.
+    return Attribution(values=attr.values + 0.0, base_value=attr.base_value, meta=meta)

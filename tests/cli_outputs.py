@@ -11,8 +11,9 @@ signs into OUT. It then runs `explain` (kernel, exact, permutation, and on
 the sparse file), `ground-truth` (with `--stability`, and over several
 permutation chunks of a background larger than the file's 16 documents),
 `evaluate` (exact and estimated ground truth, the exact and permutation
-estimators, and saved attributions), exact `explain` and `evaluate` on the
-third pair, and `synthetic` from inside OUT, with relative paths, so that the config
+estimators, the exact pointwise baseline, and saved attributions), exact
+`explain`, `evaluate` and exact pointwise `evaluate` on the third pair, and
+`synthetic` from inside OUT, with relative paths, so that the config
 sidecars do not name OUT. Running it against two source trees into two
 directories of the same name and comparing them with `diff -r` checks that
 a change leaves every output byte-identical. It exits 1 naming the first
@@ -101,6 +102,8 @@ def commands() -> list[list[str]]:
             ["evaluate", *inputs, "--out", out + "evaluate-exact-gt.csv"],
             ["evaluate", *inputs, "--estimator", "exact", "--methods", "rankingshap,greedy3",
              "--out", out + "evaluate-exact.csv"],
+            ["evaluate", *inputs, "--estimator", "exact", "--methods", "pointwise,random",
+             "--out", out + "evaluate-exact-pointwise.csv"],
             ["evaluate", *inputs, "--estimator", "permutation", "--nsamples", "16",
              "--out", out + "evaluate-permutation.csv"],
             ["evaluate", *inputs, "--gt", "estimated", "--nsamples", "64",
@@ -114,6 +117,8 @@ def commands() -> list[list[str]]:
         ["explain", *signed, "--estimator", "exact", "--background", "8",
          "--out", "signed/explain-exact"],
         ["evaluate", *signed, "--out", "signed/evaluate.csv"],
+        ["evaluate", *signed, "--estimator", "exact", "--methods", "pointwise,random",
+         "--out", "signed/evaluate-exact-pointwise.csv"],
     ]
     runs += [["synthetic", "--variant", variant, "--seed", "3", "--out", f"synthetic-{variant}.csv"]
              for variant in ("biased", "unbiased")]

@@ -54,6 +54,14 @@ class InteractionScorer(Scorer):
         return (X * self.weights).sum(axis=1) + pairs.reshape(len(X), -1).sum(axis=1)
 
 
+class SignedLinear(LinearScorer):
+    """A linear scorer whose sums start from -0.0, so that a zero score keeps
+    the sign of its terms: all -0.0 terms sum to -0.0."""
+
+    def score_batch(self, X):
+        return (np.asarray(X) * self.weights).sum(axis=1, initial=-0.0)
+
+
 def brute_force_shapley(vtilde, n):
     """Average marginal contribution over all n! feature orderings.
 

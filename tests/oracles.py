@@ -1,6 +1,6 @@
 """Scalar reference implementations of LETOR parsing, listwise masking, the
-objectives, the kernel SHAP coalition draw, greedy selection and the
-talent-search model.
+objectives, the kernel SHAP coalition draw, greedy selection, the
+talent-search model and the pointwise baseline.
 
 The package computes the listwise game only in batches (`ListwiseGame.values`
 and the objective classes' `evaluate_many`), background means over the
@@ -8,14 +8,15 @@ distinct background rows only, the kernel design as boolean rows merged by
 `masking.first_rows` (`attribution._kernel_design`), permutation sampling a
 chunk of prefixes per `values` call and one accumulation per chunk
 (`attribution.permutation_shapley`), greedy selection one batch of
-candidates per step (`baselines.greedy_select`), and the talent model only
-in `TalentScorer.score_batch`. These one-list, one-permutation, one-mask,
-one-row, one-coalition, one-draw, one-prefix, one-candidate forms are kept
-here as independent oracles for the tests. `stability_curve` builds its
-games once, before its size loop; the form here builds one game per run and
-size. `parse_letor` turns each line into a float vector as soon as it is
-parsed; the form here keeps every line's `{key: value}` dict until the last
-line is read.
+candidates per step (`baselines.greedy_select`), the talent model only in
+`TalentScorer.score_batch`, and the pointwise baseline as one game on the
+mean score of the top documents (`attribution.pointwise_shap_explain`).
+These one-list, one-permutation, one-mask, one-row, one-coalition, one-draw,
+one-prefix, one-candidate, one-document forms are kept here as independent
+oracles for the tests. `stability_curve` builds its games once, before its
+size loop; the form here builds one game per run and size. `parse_letor`
+turns each line into a float vector as soon as it is parsed; the form here
+keeps every line's `{key: value}` dict until the last line is read.
 """
 
 from __future__ import annotations
@@ -36,10 +37,16 @@ from rankshap import (
     UniversityScheme,
     rank,
 )
-from rankshap.attribution import kernel_weight, permutation_shapley
-from rankshap.data import _parse_line
+from rankshap.attribution import (
+    Attribution,
+    _run_estimator,
+    estimator_meta,
+    kernel_weight,
+    permutation_shapley,
+)
+from rankshap.data import _parse_line, background_array
 from rankshap.evaluation import StabilityRow, _spawn_seeds
-from rankshap.objectives import ListwiseGame
+from rankshap.objectives import CoalitionGame, ListwiseGame, reference_ranking
 from rankshap.talent import SCHEMES, UNIVERSITY_CODES
 
 
@@ -180,11 +187,58 @@ def listwise_mean(group, scorer, objective, visible, B: np.ndarray) -> float:
     return float(np.array([value_function(group, scorer, objective, t, b) for b in B]).mean())
 
 
-def pointwise_mean(scorer, x: np.ndarray, visible, B: np.ndarray) -> float:
-    """Background mean of one document's masked score, each row of B in order,
-    scored as a one-row batch."""
-    t = _template(visible, len(x))
-    return float(np.array([scorer.score_batch(apply_mask(x, t, b)[None, :])[0] for b in B]).mean())
+def pointwise_mean(scorer, X: np.ndarray, visible, B: np.ndarray) -> float:
+    """Background mean of the mean masked score of documents, the (t, n) rows
+    X or one row x: each row of B in order masks each document, scored as a
+    one-row batch, and the t scores are added one at a time from -0.0, then
+    divided by t."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    t = _template(visible, X.shape[1])
+
+    def mean_score(b):
+        total = -0.0
+        for x in X:
+            total += scorer.score_batch(apply_mask(x, t, b)[None, :])[0]
+        return total / len(X)
+
+    return float(np.array([mean_score(b) for b in B]).mean())
+
+
+class DocumentGame(CoalitionGame):
+    """Coalition game on one document's model score."""
+
+    def __init__(self, x: np.ndarray, scorer, B: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        super().__init__(len(self.x), B, scorer, self.x[None, :])
+
+    def _reduce(self, scores: np.ndarray) -> np.ndarray:
+        return scores[:, 0]
+
+
+def pointwise_per_document(group, scorer, background, cfg, top_docs: int = 5) -> Attribution:
+    """`pointwise_shap_explain` with one `DocumentGame` per top document: each
+    one's attribution by `_run_estimator`, summed from 0.0 in rank order and
+    divided by the count of documents."""
+    if top_docs < 1:
+        raise ValueError(f"top_docs must be at least 1, got {top_docs}")
+    B = background_array(background)
+    order = reference_ranking(group, scorer)
+    take = min(top_docs, len(group))
+    values = np.zeros(group.n)
+    base = 0.0
+    for doc in order[:take]:
+        game = DocumentGame(group.documents[int(doc)].features, scorer, B)
+        attr = _run_estimator(game, background, cfg)
+        values += attr.values
+        base += attr.base_value
+    # Every document runs the same design, so the last one's counts hold for all.
+    meta = estimator_meta(
+        f"pointwise-{cfg.kind}", attr.meta["n_samples"], len(B), cfg.seed,
+        top_docs=take, query_id=group.query_id,
+    )
+    if "coalitions_evaluated" in attr.meta:
+        meta["coalitions_evaluated"] = attr.meta["coalitions_evaluated"]
+    return Attribution(values=values / take, base_value=base / take, meta=meta)
 
 
 def permutation_walk(value_fn, n: int, B: np.ndarray, n_samples: int,

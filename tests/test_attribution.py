@@ -1,12 +1,14 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_shapley, make_group, make_linear_instance
+import oracles
+from conftest import SignedLinear, brute_force_shapley, make_group, make_linear_instance
 from oracles import kernel_design, sampled_kernel_design
 from rankshap import (
     Attribution,
@@ -17,16 +19,20 @@ from rankshap import (
     EstimatorConfig,
     KendallTauObjective,
     LinearScorer,
+    TalentScorer,
     TopKTauObjective,
+    build_scenarios,
     exact_shapley,
     kernel_shap,
     permutation_shapley,
     pointwise_shap_explain,
     rankingshap_explain,
     reference_ranking,
+    sample_talent_background,
     shapley_weight,
 )
-from rankshap.attribution import _kernel_design, check_kernel_budget
+from rankshap import masking
+from rankshap.attribution import _PointwiseGame, _kernel_design, check_kernel_budget
 from rankshap.objectives import ListwiseGame
 from rankshap.rankers import Scorer
 
@@ -346,7 +352,8 @@ class TestKernelDesign:
         _kernel_design.cache_clear()
         pointwise_shap_explain(group, scorer, background, cfg, top_docs=5)
         info = _kernel_design.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
+        # The top documents play one mean-score game: one draw per call.
+        assert (info.misses, info.hits) == (1, 0)
 
 
 class TestRankingShapExplain:
@@ -433,6 +440,39 @@ class TestPointwiseShap:
         with pytest.raises(ValueError, match=f"top_docs must be at least 1, got {top_docs}"):
             pointwise_shap_explain(group, scorer, background, EstimatorConfig(), top_docs=top_docs)
 
+    @pytest.mark.parametrize("top_docs", [2.0, True, False, "2", None])
+    def test_top_docs_not_an_integer_raises_naming_it(self, top_docs):
+        group, scorer, _, background = make_linear_instance(4, 6, seed=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"top_docs must be an integer, got {top_docs!r}")):
+            pointwise_shap_explain(group, scorer, background, EstimatorConfig(), top_docs=top_docs)
+
+    def test_meta_records_top_docs_as_a_plain_int(self):
+        group, scorer, _, background = make_linear_instance(4, 6, seed=2)
+        cfg = EstimatorConfig(kind="exact")
+        attr = pointwise_shap_explain(group, scorer, background, cfg, top_docs=np.int64(3))
+        assert type(attr.meta["top_docs"]) is int and attr.meta["top_docs"] == 3
+        again = pointwise_shap_explain(group, scorer, background, cfg, top_docs=3)
+        assert attr.values.tobytes() == again.values.tobytes()
+
+    @pytest.mark.parametrize("kind, n_samples", [
+        ("exact", 0), ("kernel", 5), ("kernel", 8), ("permutation", 7)])
+    def test_one_document_keeps_its_bytes_at_a_negative_zero_top_score(self, kind, n_samples):
+        # Each term of the top document's score is -0.0; the other documents
+        # score below it. Its game keeps the sign of that zero score.
+        X = np.array([[0.5, 0.0, -0.0], [0.5, 1.0, 0.0], [2.0, 0.5, -1.0]])
+        scorer = SignedLinear([-0.0, -1.0, 2.0])
+        scores = scorer.score_batch(X)
+        assert scores[0] == 0.0 and np.signbit(scores[0]) and (scores[1:] < 0).all()
+        group = make_group(X)
+        B = np.random.default_rng(7).normal(size=(3, 3))
+        game = _PointwiseGame(X[:1], scorer, B)
+        assert np.signbit(game.value([0, 1, 2], B[1]))
+        cfg = EstimatorConfig(kind=kind, n_samples=max(n_samples, 1), seed=3)
+        attr = pointwise_shap_explain(group, scorer, B, cfg, top_docs=1)
+        expected = oracles.pointwise_per_document(group, scorer, B, cfg, top_docs=1)
+        assert fingerprint(attr) == fingerprint(expected)
+
     @pytest.mark.parametrize("kind, n_samples, recorded", [
         ("exact", 2048, 32),  # all 2^5 coalitions, whatever the budget
         ("kernel", 2048, 2048),  # full enumeration
@@ -449,6 +489,79 @@ class TestPointwiseShap:
             assert meta["coalitions_evaluated"] == _kernel_design(5, n_samples, 1)[2]
         else:
             assert "coalitions_evaluated" not in meta
+
+
+def fingerprint(attr) -> tuple:
+    return attr.values.tobytes(), np.float64(attr.base_value).tobytes(), attr.meta
+
+
+def pointwise_instance(n, m, bsize, seed, scorer_kind, positive):
+    """A query, a row-independent scorer and a background array for the
+    pointwise baseline. A linear scorer's weights hold 0.0 and -0.0 and its
+    rows zeros in those columns; a talent instance is a synthetic scenario,
+    whatever n and m."""
+    rng = np.random.default_rng(seed)
+    if scorer_kind == "talent":
+        scenarios = build_scenarios()
+        group = scenarios[seed % len(scenarios)].group()
+        scorer = TalentScorer(("biased", "unbiased")[seed % 2])
+        return group, scorer, sample_talent_background(bsize, seed).vectors
+    w = rng.normal(size=n)
+    zero = rng.random(n) < 0.4
+    w[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    X, B = rng.normal(size=(m, n)), rng.normal(size=(bsize, n))
+    if positive:
+        X, B = np.abs(X), np.abs(B)
+    X[rng.random((m, n)) < 0.2] = 0.0
+    scorer = (SignedLinear if scorer_kind == "signed" else LinearScorer)(w)
+    return make_group(X), scorer, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["exact", "kernel", "permutation"]),
+    n=st.integers(1, 6),
+    m=st.integers(1, 7),
+    top_docs=st.integers(1, 7),
+    bsize=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    scorer_kind=st.sampled_from(["linear", "signed", "talent"]),
+    positive=st.booleans(),
+    n_samples=st.sampled_from([1, 2, 9, 24, 32, 150]),
+    budget=st.sampled_from([1, 200, 3000, masking.MASK_BUDGET_BYTES]),
+)
+@example(kind="kernel", n=4, m=6, top_docs=5, bsize=4, seed=1, scorer_kind="linear",
+         positive=False, n_samples=24, budget=200)
+@example(kind="permutation", n=5, m=7, top_docs=7, bsize=3, seed=2, scorer_kind="talent",
+         positive=False, n_samples=9, budget=1)
+@example(kind="exact", n=3, m=2, top_docs=1, bsize=2, seed=5, scorer_kind="signed",
+         positive=True, n_samples=1, budget=masking.MASK_BUDGET_BYTES)
+# The kernel fit gives a -0.0 value here, which the per-document sum read as 0.0.
+@example(kind="kernel", n=2, m=1, top_docs=1, bsize=1, seed=0, scorer_kind="linear",
+         positive=False, n_samples=9, budget=masking.MASK_BUDGET_BYTES)
+def test_pointwise_matches_the_per_document_oracle(kind, n, m, top_docs, bsize, seed,
+                                                   scorer_kind, positive, n_samples, budget):
+    # Shapley values are linear in the game, and so is each estimator: the
+    # mean-score game's attribution is the mean of the documents' own, up to
+    # rounding, with the same meta; one document gives the same bytes.
+    group, scorer, B = pointwise_instance(n, m, bsize, seed, scorer_kind, positive)
+    if kind == "kernel":
+        n_samples = max(n_samples, 2)
+    cfg = EstimatorConfig(kind=kind, n_samples=n_samples, seed=seed)
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        try:
+            expected = oracles.pointwise_per_document(group, scorer, B, cfg, top_docs)
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                pointwise_shap_explain(group, scorer, B, cfg, top_docs)
+            return
+        attr = pointwise_shap_explain(group, scorer, B, cfg, top_docs)
+    assert attr.meta == expected.meta
+    if min(top_docs, len(group)) == 1:
+        assert fingerprint(attr) == fingerprint(expected)
+    scale = max(np.abs(expected.values).max(), abs(expected.base_value))
+    np.testing.assert_allclose(attr.values, expected.values, rtol=0, atol=1e-12 * scale)
+    assert abs(attr.base_value - expected.base_value) <= 1e-12 * scale
 
 
 class TestAttributionSerialization:

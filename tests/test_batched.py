@@ -229,14 +229,14 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
 
 def test_pointwise_exact_rerun_reads_the_games_table():
     group, scorer, background = make_pointwise_instance(6, 4, 5, 0, talent=False)
-    game = _PointwiseGame(group.documents[0].features, scorer, background.vectors)
+    game = _PointwiseGame(group.feature_matrix()[:3], scorer, background.vectors)
     first = exact_shapley(game.value, game.n, background)
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
         again = exact_shapley(game.value, game.n, background)
         mean = game.mean_value((0, 3))
     assert score.call_count == 0
     assert_same(again, first)
-    assert mean == oracles.pointwise_mean(scorer, game.x, (0, 3), background.vectors)
+    assert mean == oracles.pointwise_mean(scorer, game.X, (0, 3), background.vectors)
 
 
 def test_mean_value_is_one_scorer_call_over_budget():
@@ -356,17 +356,14 @@ def make_pointwise_instance(n, m, bsize, seed, talent):
 
 
 def pointwise_by_mean_value(group, scorer, background, cfg, top_docs):
-    """`pointwise_shap_explain`'s values with one `mean_value` call per coalition."""
-    B = background.vectors
-    take = min(top_docs, len(group))
-    values = np.zeros(group.n)
-    for doc in reference_ranking(group, scorer)[:take]:
-        game = _PointwiseGame(group.documents[int(doc)].features, scorer, B)
-        values += kernel_shap(
-            game.value, game.n, background, cfg.n_samples, cfg.seed,
-            mean_value_fn=game.mean_value,
-        ).values
-    return values / take
+    """`pointwise_shap_explain`'s values with one `mean_value` call per
+    coalition of the top documents' mean-score game."""
+    top = reference_ranking(group, scorer)[:top_docs]
+    game = _PointwiseGame(group.feature_matrix()[top], scorer, background.vectors)
+    return kernel_shap(
+        game.value, game.n, background, cfg.n_samples, cfg.seed,
+        mean_value_fn=game.mean_value,
+    ).values + 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -412,7 +409,8 @@ def test_pointwise_kernel_scores_in_budget_chunks(coalitions_per_chunk):
     n, k, top_docs = 9, 6, 4
     group, scorer, background = make_pointwise_instance(n, 7, k, 4, talent=False)
     cfg = EstimatorConfig(kind="kernel", n_samples=300, seed=4)
-    coalition_bytes = k * n * 8
+    # A coalition masks the top documents' rows once per background row.
+    coalition_bytes = top_docs * k * n * 8
     budget = masking.MASK_BUDGET_BYTES
     if coalitions_per_chunk is not None:
         budget = coalitions_per_chunk * coalition_bytes
@@ -423,8 +421,8 @@ def test_pointwise_kernel_scores_in_budget_chunks(coalitions_per_chunk):
     # The empty and full coalitions take one call, the sampled ones the rest.
     c = attr.meta["coalitions_evaluated"] - 2
     limit = math.ceil(c * coalition_bytes / budget) + 1
-    # One extra call ranks the query for its top documents.
-    assert score.call_count - 1 <= top_docs * limit
+    # One extra call ranks the query for its top documents, which play one game.
+    assert score.call_count - 1 <= limit
     assert max(call.args[0].nbytes for call in score.call_args_list) <= budget
 
 
@@ -469,22 +467,20 @@ def test_repeated_background_rows_match_full_evaluation(seed, interaction):
         )
         assert_same(rankingshap_explain(group, scorer, objective, background, cfg), expected)
 
+    top = group.feature_matrix()[reference_ranking(group, scorer)[:5]]
+
+    def pointwise(visible):
+        return oracles.pointwise_mean(scorer, top, visible, B)
+
     for kind in ("exact", "kernel"):
         cfg = EstimatorConfig(kind=kind, n_samples=n_samples, seed=seed)
-        pointwise = np.zeros(n)
-        for doc in reference_ranking(group, scorer)[:5]:
-            x = group.documents[int(doc)].features
-
-            def mean_value(visible):
-                return oracles.pointwise_mean(scorer, x, visible, B)
-
-            pointwise += (
-                exact_shapley(None, n, background, mean_value_fn=mean_value)
-                if kind == "exact"
-                else kernel_shap(None, n, background, n_samples, seed, mean_value_fn=mean_value)
-            ).values
+        expected = (
+            exact_shapley(None, n, background, mean_value_fn=pointwise)
+            if kind == "exact"
+            else kernel_shap(None, n, background, n_samples, seed, mean_value_fn=pointwise)
+        )
         attr = pointwise_shap_explain(group, scorer, background, cfg)
-        assert attr.values.tobytes() == (pointwise / 5).tobytes()
+        assert attr.values.tobytes() == (expected.values + 0.0).tobytes()
 
     greedy = greedy_attribution(ListwiseGame(group, scorer, objective, background), 3)
     expected = oracles.greedy_select(listwise, n, 3)
@@ -548,7 +544,7 @@ def test_kernel_and_greedy_read_the_exact_ground_truths_table():
         evaluation.run_benchmark(groups, scorer, "kendall",
                                  ["rankingshap", "pointwise", "greedy5", "random"], cfg,
                                  background_size=4)
-    # The pointwise baseline plays its own per-document games.
+    # The pointwise baseline plays its own mean-score game.
     assert calls == {"rankingshap": 0, "pointwise": calls["pointwise"], "greedy": 0, "random": 0}
     assert calls["pointwise"] > 0
 

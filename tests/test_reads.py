@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import InteractionScorer, make_group
+from conftest import InteractionScorer, SignedLinear, make_group
 from rankshap import (
     FULL,
     EstimatorConfig,
@@ -43,14 +43,6 @@ from rankshap.cli import main
 from rankshap.errors import EstimationError
 from rankshap.objectives import ListwiseGame
 from rankshap.rankers import Scorer
-
-
-class SignedLinear(LinearScorer):
-    """A linear scorer whose sums start from -0.0, so that a zero score keeps
-    the sign of its terms: all -0.0 terms sum to -0.0."""
-
-    def score_batch(self, X):
-        return (np.asarray(X) * self.weights).sum(axis=1, initial=-0.0)
 
 
 class HiddenReads(Scorer):
@@ -374,7 +366,7 @@ def test_values_evaluates_rows_unlike_its_own_in_full():
             with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
                     np.errstate(invalid="ignore"):  # inf * 0.0
                 got = game.values(visible, rows)
-                expected = [scorer.score(np.where(visible[0], game.x, r)) for r in rows]
+                expected = [scorer.score(np.where(visible[0], game.X[0], r)) for r in rows]
             assert len(score.call_args_list[0].args[0]) == scored
             assert got.tobytes() == np.array(expected).tobytes()
 
