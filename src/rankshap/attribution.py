@@ -6,10 +6,10 @@ set are always full means, so the exact estimator is deterministic.
 
 Each estimator plays the `CoalitionGame` that `_as_game` makes of its
 arguments: exact enumeration reads its `table()`, the kernel its `means` and
-permutation sampling its batched `values`. When `value_fn` is a game's bound
-`value` on that game's own background, that is the game itself, whose table
-is kept; otherwise a game over the given background evaluates through the
-bound game's `values`, or lifts `value_fn` one coalition and row at a time.
+permutation sampling its batched `values`, one background index per prefix.
+When `value_fn` is a game's bound `value` on that game's own background, that
+is the game itself, whose table is kept; otherwise a game over the given
+background masks through the bound game's `_values`, or lifts `value_fn`.
 A `mean_value_fn(S)` given to the exact or kernel estimator is called once
 per coalition instead.
 """
@@ -180,9 +180,9 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 
 
 class _GameOver(CoalitionGame):
-    """A game over a given background that evaluates through `values`; each
-    coalition mean, in `means` or `table()`, is one `mean_value_fn(S)` call
-    instead, unless that is None."""
+    """A game over a given background whose `_values` is the given `values(visible,
+    rows)`; each coalition mean, in `means` or `table()`, is one `mean_value_fn(S)`
+    call instead, unless that is None."""
 
     def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
         super().__init__(n, B)
@@ -198,17 +198,17 @@ class _GameOver(CoalitionGame):
 def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> CoalitionGame:
     """The game whose bound `value` is `value_fn`, when B has that game's
     background bytes and no `mean_value_fn` is given; otherwise a game over B
-    that evaluates through that game's `values`, or through `value_fn` lifted
+    that masks its rows through that game's `_values`, or evaluates `value_fn`
     one coalition and row at a time."""
     game = getattr(value_fn, "__self__", None)
     if isinstance(game, CoalitionGame) and value_fn == game.value:
         if (mean_value_fn is None and game.n == n and B.shape == game.background.shape
                 and B.tobytes() == game.background.tobytes()):
             return game
-        return _GameOver(n, B, game.values, mean_value_fn)
+        C = game._cols
+        return _GameOver(n, B, lambda v, rows: game._values(v[:, C], rows[:, C]), mean_value_fn)
 
     def values(visible, rows):
-        visible = np.broadcast_to(visible, (len(rows), n))
         return np.array([value_fn(_members(v), b) for v, b in zip(visible, rows)])
 
     return _GameOver(n, B, values, mean_value_fn)
@@ -263,14 +263,14 @@ def permutation_shapley(
     for lo in range(0, n_samples, step):
         c = min(step, n_samples - lo)
         sigmas = np.empty((c, n), dtype=np.intp)
-        rows = np.empty((c, n))
+        index = np.empty(c, dtype=np.intp)
         for j in range(c):
             sigmas[j] = rng.permutation(n)
-            rows[j] = B[rng.integers(len(B))]
+            index[j] = rng.integers(len(B))
         # Prefix j of a permutation holds the features at positions below j.
         pos = np.argsort(sigmas, axis=1)
         visible = (prefix > pos[:, None, :]).reshape(c * (n + 1), n)
-        vals = evaluate(visible, np.repeat(rows, n + 1, axis=0)).reshape(c, n + 1)
+        vals = evaluate(visible, np.repeat(index, n + 1)).reshape(c, n + 1)
         # Each sample's steps in feature order, added to the sums in the order drawn.
         steps = np.take_along_axis(np.diff(vals, axis=1), pos, axis=1)
         contrib = np.add.accumulate(np.vstack([contrib, steps]))[-1]
@@ -369,10 +369,9 @@ def kernel_shap(
     Z = rows.astype(float)
     y = means(rows) - base
     phi = _solve_constrained_wls(Z, y, w, delta)
-    meta = estimator_meta(
-        "kernel", n_samples, len(B), seed, coalitions_evaluated=evaluations
-    )
-    return Attribution(values=phi, base_value=base, meta=meta)
+    meta = estimator_meta("kernel", n_samples, len(B), seed, coalitions_evaluated=evaluations)
+    # lstsq can give -0.0 for a zero value; + 0.0 writes 0.0, as exact enumeration does.
+    return Attribution(values=phi + 0.0, base_value=base, meta=meta)
 
 
 def _run_estimator(game, background, cfg: EstimatorConfig) -> Attribution:

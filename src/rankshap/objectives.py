@@ -177,9 +177,9 @@ class CoalitionGame:
     reduces each coalition's scores with the `_reduce` a subclass implements:
     one value per (coalition, row) pair. `_grid_means` averages it over the
     background, evaluating each distinct row once per coalition; `means` (and
-    `mean_value`, a one-coalition `means`) and `table` call it, and `value`
-    wraps `values` for one coalition and row. Once `table` has evaluated every
-    coalition, `means` reads it.
+    `mean_value`, a one-coalition `means`) and `table` call it. `values` takes
+    background indices, and `value` one coalition and any row. Once `table` has
+    evaluated every coalition, `means` reads it.
 
     Given the `scorer` and the rows it scores, the game plays only the columns
     in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
@@ -198,7 +198,7 @@ class CoalitionGame:
         if self.background.ndim != 2 or not len(self.background) or self.background.shape[1] != n:
             raise DimensionError(f"background shape {self.background.shape} is not (>= 1, {n})")
         self.scorer, self.X = scorer, X
-        self._played, self._away, self._cols = np.arange(n), np.arange(0), slice(None)
+        self._played, self._cols = np.arange(n), slice(None)
         if scorer is not None:
             self._play()
         first, self._inverse = first_rows(self.background[:, self._played])
@@ -217,28 +217,30 @@ class CoalitionGame:
         away = scorer.reads_only | np.isfinite(rows).all(axis=0) & (
             sign.all(axis=0) | ~sign.any(axis=0) | (not self._signed))
         away[reads.astype(np.intp)] = False  # np.asarray([]) is float
-        self._played, self._away = np.flatnonzero(~away), np.flatnonzero(away)
+        self._played = np.flatnonzero(~away)
+        # Padded to whole bytes with the last: one flat np.packbits then packs each row.
+        self._packed = np.pad(self._played, (0, -len(self._played) % 8), mode="edge")
         if scorer.reads_only and len(self._played) < n:  # `_values` gets those columns alone
-            self._cols, self._away = self._played, self._away[:0]
-        self._away_sign = sign[0, self._away]
+            self._cols = self._played
         self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
 
     def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """v of k coalitions, one per row of the boolean `visible` (or one row for all k)
-        and of the background `rows`, both on the columns `_cols`: `X` masked by each pair,
-        scored and reduced. A chunk holds whole batches of the distinct background rows
-        within MASK_BUDGET_BYTES of masked rows, and at least one; one score call each."""
+        """v of k coalitions, one per row of the boolean `visible`, and of the background
+        `rows`, both on the columns `_cols`: `X` masked by each pair, scored and reduced.
+        A chunk holds whole batches of the distinct background rows within
+        MASK_BUDGET_BYTES of masked rows, and at least one; one score call each."""
         m, n = self._X.shape
-        k = len(rows)
         step = chunk_size(m * n * 8, len(self._distinct))
-        if k > step:
-            visible = np.broadcast_to(visible, rows.shape)
-        out = np.empty(k)
-        for lo in range(0, k, step):
+        out = np.empty(len(rows))
+        for lo in range(0, len(rows), step):
             vis, B = visible[lo:lo + step], rows[lo:lo + step]
-            # (c, m, n): each coalition masks every row of X identically.
-            masked = np.where(vis[:, None, :], self._X, B[:, None, :])
+            # (c, m, n): a copy of X per pair, with the pair's hidden background
+            # entries scattered into every row of X alike.
+            masked = np.repeat(self._X[None], len(B), axis=0)
+            c, j = np.nonzero(~vis)
+            masked[c, :, j] = B[c, j, None]
             scores = self.scorer.score_batch(masked.reshape(len(B) * m, n))
+            del masked  # before the reduce and the next chunk's copy: lowers peak memory
             out[lo:lo + len(B)] = self._reduce(scores.reshape(len(B), m))
         return out
 
@@ -246,33 +248,31 @@ class CoalitionGame:
         """Values of a (c, m) score matrix, one per row; subclasses implement it."""
         raise NotImplementedError
 
-    def values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """`_values` of one pair per key of the played columns, unless the other
-        columns of `rows` are unlike the game's own: not finite, or in a signed
-        game not of their signs. Runs of consecutive pairs with one key (the
-        prefixes of a permutation that add unplayed features) collapse to
-        their first pair before the run heads are keyed by their bytes."""
-        P, C, away = self._played, self._cols, rows[:, self._away]
-        if len(P) == self.n or len(rows) < 2 or not np.isfinite(away).all() or (
-                self._signed and (np.signbit(away) != self._away_sign).any()):
-            return self._values(visible[:, C], rows[:, C])
-        visible = np.broadcast_to(visible, rows.shape)
-        vis, bits = visible[:, P], rows[:, P].astype(float, copy=False).view(np.uint64)
-        run = np.ones(len(rows), dtype=bool)  # True where a run of equal keys starts
-        run[1:] = (vis[1:] != vis[:-1]).any(axis=1) | (bits[1:] != bits[:-1]).any(axis=1)
+    def values(self, visible: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """v of k pairs: one coalition per row of the boolean `visible` (or one row for
+        all k) and one index into the background per pair. Unless every column is played,
+        runs of consecutive pairs with one key (the prefixes of a permutation that add
+        unplayed features) collapse to their first pair; the run heads are keyed on their
+        packed played bits and distinct row, and `_values` evaluates each key once."""
+        inv = self._inverse[index]
+        visible = np.broadcast_to(visible, (len(inv), self.n))
+        if len(self._played) == self.n or len(inv) < 2:
+            return self._values(visible[:, self._cols], self._distinct[inv])
+        keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1),
+                          inv[:, None].view(np.uint8)])
+        run = np.append(True, (keys[1:] != keys[:-1]).any(axis=1))  # where a run starts
         heads = np.flatnonzero(run)
-        first, inverse = first_rows(np.hstack([vis[heads].view(np.uint8),
-                                               bits[heads].view(np.uint8)]))
+        first, inverse = first_rows(keys[heads])
         first = heads[first]
-        vis, B = (vis[first], bits[first].view(float)) if C is P else (visible[first], rows[first])
-        del away, bits  # before `_values` masks: lowers peak memory
-        return self._values(vis, B)[inverse[np.cumsum(run) - 1]]
+        vals = self._values(visible[first][:, self._cols], self._distinct[inv[first]])
+        return vals[inverse[np.cumsum(run) - 1]]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0
 
     def value(self, visible, b: np.ndarray) -> float:
-        return float(self.values(self._visible(visible), np.asarray(b, dtype=float)[None, :])[0])
+        C = self._cols
+        return float(self._values(self._visible(visible)[:, C], np.asarray(b, float)[None, C])[0])
 
     def table(self) -> np.ndarray:
         """Read-only `means` of all 2^n coalitions by bitmask (bit i set: feature

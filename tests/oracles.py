@@ -187,21 +187,21 @@ def listwise_mean(group, scorer, objective, visible, B: np.ndarray) -> float:
     return float(np.array([value_function(group, scorer, objective, t, b) for b in B]).mean())
 
 
-def pointwise_mean(scorer, X: np.ndarray, visible, B: np.ndarray) -> float:
-    """Background mean of the mean masked score of documents, the (t, n) rows
-    X or one row x: each row of B in order masks each document, scored as a
-    one-row batch, and the t scores are added one at a time from -0.0, then
-    divided by t."""
+def pointwise_value(scorer, X: np.ndarray, visible, b: np.ndarray) -> float:
+    """Mean masked score of documents, the (t, n) rows X or one row x, under one
+    background row b: each document scored as a one-row batch, and the t scores
+    added one at a time from -0.0, then divided by t."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = _template(visible, X.shape[1])
+    total = -0.0
+    for x in X:
+        total += scorer.score_batch(apply_mask(x, t, b)[None, :])[0]
+    return total / len(X)
 
-    def mean_score(b):
-        total = -0.0
-        for x in X:
-            total += scorer.score_batch(apply_mask(x, t, b)[None, :])[0]
-        return total / len(X)
 
-    return float(np.array([mean_score(b) for b in B]).mean())
+def pointwise_mean(scorer, X: np.ndarray, visible, B: np.ndarray) -> float:
+    """Background mean of `pointwise_value`: each row of B in order, then `.mean()`."""
+    return float(np.array([pointwise_value(scorer, X, visible, b) for b in B]).mean())
 
 
 class DocumentGame(CoalitionGame):

@@ -564,6 +564,27 @@ def test_pointwise_matches_the_per_document_oracle(kind, n, m, top_docs, bsize, 
     assert abs(attr.base_value - expected.base_value) <= 1e-12 * scale
 
 
+def test_kernel_writes_zero_where_exact_does():
+    # lstsq gives -0.0 for a feature of value 0: the one-document pointwise
+    # game at n = 2 gave [-0.0, 0.0], and this listwise game, whose first
+    # weight is zero, [-0.0, 1.0]; exact enumeration gives 0.0 for both.
+    group, scorer, B = pointwise_instance(2, 1, 1, 0, "linear", False)
+    games = [_PointwiseGame(group.feature_matrix(), scorer, B)]
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=2)
+    w[0] = 0.0
+    group, scorer = make_group(rng.normal(size=(4, 2))), LinearScorer(w)
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    games.append(ListwiseGame(group, scorer, objective, rng.normal(size=(3, 2))))
+    for game in games:
+        for n_samples in (4, 9, 64):
+            kernel = kernel_shap(game.value, 2, game.background, n_samples, 0)
+            exact = exact_shapley(game.value, 2, game.background)
+            assert kernel.values[0] == 0.0 and not np.signbit(kernel.values[0])
+            np.testing.assert_allclose(kernel.values, exact.values, rtol=0, atol=1e-12)
+            assert np.signbit(kernel.values).tolist() == np.signbit(exact.values).tolist()
+
+
 class TestAttributionSerialization:
     def test_save_load_round_trip(self, tmp_path, rng):
         attr = Attribution(values=rng.normal(size=5), base_value=0.25, meta={"seed": 7})

@@ -2,7 +2,7 @@
 
 Every estimator plays the `CoalitionGame` that `attribution._as_game` makes
 of its arguments: the game itself when `value_fn` is its bound `value` on its
-own background, else a game that evaluates through the bound game's `values`
+own background, else a game that masks through the bound game's `_values`
 or lifts any other value function one coalition at a time, and whose means
 body calls a given `mean_value_fn` once per coalition. `values` evaluates
 many coalitions per scorer call through the one masking body that the
@@ -295,14 +295,14 @@ def test_values_chunks_whole_background_batches(pointwise):
     k = 7 * len(background.vectors)
     rng = np.random.default_rng(0)
     visible = rng.random((k, 4)) < 0.5
-    rows = np.tile(background.vectors, (7, 1))
-    whole = game.values(visible, rows)
+    index = np.tile(np.arange(len(background.vectors)), 7)
+    whole = game.values(visible, index)
     # Room for exactly 2 background batches (4 coalitions) per chunk.
     budget = 4 * m * game.n * 8
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
         game.scorer, "score_batch", wraps=game.scorer.score_batch
     ) as score:
-        chunked = game.values(visible, rows)
+        chunked = game.values(visible, index)
     assert [c.args[0].shape[0] for c in score.call_args_list] == [4 * m, 4 * m, 4 * m, 2 * m]
     assert chunked.tobytes() == whole.tobytes()
 

@@ -309,7 +309,7 @@ def test_null_features_cost_no_evaluation():
     # A permutation plays one list per prefix that changes the read features.
     visible = np.tri(n + 1, n, -1, dtype=bool)  # prefixes 0..n of the identity order
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
-        game.values(visible, np.repeat(B[:1], n + 1, axis=0))
+        game.values(visible, np.zeros(n + 1, dtype=int))
     assert sum(len(c.args[0]) for c in score.call_args_list) == 3 * m
     # One call over permutations that share a read row evaluates one list per
     # distinct (pattern, read row) key, not one per run: rows 0 and 3 differ
@@ -319,11 +319,12 @@ def test_null_features_cost_no_evaluation():
                        [7, 6, 5, 4, 3, 2, 1, 0], [0, 2, 1, 3, 4, 5, 6, 7]])
     pos = np.argsort(sigmas, axis=1)
     visible = (np.arange(n + 1)[:, None] > pos[:, None, :]).reshape(-1, n)
-    rows = np.repeat(B[[0, 0, 3, 1]], n + 1, axis=0)
+    index = np.repeat([0, 0, 3, 1], n + 1)
+    rows = B[index]
     keys = {(tuple(v[[2, 5]]), tuple(r[[2, 5]])) for v, r in zip(visible, rows)}
     assert len(keys) == 4 + 3  # 4 patterns of row 0, 3 prefixes of row 1
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
-        got = game.values(visible, rows)
+        got = game.values(visible, index)
     assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
     expected = [game.value(np.flatnonzero(v), r) for v, r in zip(visible, rows)]
     assert got.tobytes() == np.array(expected).tobytes()
@@ -348,25 +349,26 @@ def test_null_features_cost_no_evaluation():
 
 
 def test_values_evaluates_rows_unlike_its_own_in_full():
-    # For a scorer that takes full rows, rows whose unread columns are not
-    # finite, or in the pointwise game not of the game's sign, are not keyed:
-    # each pair is scored. A linear scorer reads no unread column, so its
-    # game keys them all.
+    # For a scorer that takes full rows, a background whose unread columns are
+    # not finite, or in the pointwise game not of the game's sign, plays those
+    # columns, so rows that differ there are not keyed alike: each pair is
+    # scored. A linear scorer reads no unread column, so its game keys them all.
     for kind, unlike in ((SignedLinear, 3), (LinearScorer, 1)):
         rng = np.random.default_rng(1)
         n = 4
         scorer = kind([1.0, 0.0, 0.0, 2.0])
-        game = _PointwiseGame(rng.random(n), scorer, rng.random((2, n)))
+        x = rng.random(n)
         rows = np.repeat(rng.random((1, n)), 3, axis=0)
         rows[:, 1] = [0.25, 0.5, 0.75]  # one key: the rows differ in an unread column only
         visible = np.zeros((1, n), dtype=bool)
         for bad, scored in ((None, 1), (-0.0, unlike), (np.inf, unlike)):
             if bad is not None:
-                rows[1, 2] = bad
+                rows[1, 1] = bad
+            game = _PointwiseGame(x, scorer, rows)
             with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
                     np.errstate(invalid="ignore"):  # inf * 0.0
-                got = game.values(visible, rows)
-                expected = [scorer.score(np.where(visible[0], game.X[0], r)) for r in rows]
+                got = game.values(visible, np.arange(3))
+                expected = [scorer.score(np.where(visible[0], x, r)) for r in rows]
             assert len(score.call_args_list[0].args[0]) == scored
             assert got.tobytes() == np.array(expected).tobytes()
 
