@@ -182,10 +182,16 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 class _GameOver(CoalitionGame):
     """A game over a given background whose `_values` is the given `values(visible,
     rows)`; each coalition mean, in `means` or `table()`, is one `mean_value_fn(S)`
-    call instead, unless that is None."""
+    call instead, unless that is None. Given the `game` whose `_values` that is, it
+    plays the columns that game's scorer and rows would play over the background."""
 
-    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
-        super().__init__(n, B)
+    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn,
+                 game: CoalitionGame | None = None):
+        if game is None:
+            super().__init__(n, B)
+        else:
+            self._signed = game._signed
+            super().__init__(n, B, game.scorer, game.X)
         self._values = values
         self._mean_value_fn = mean_value_fn
 
@@ -202,11 +208,14 @@ def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> Co
     one coalition and row at a time."""
     game = getattr(value_fn, "__self__", None)
     if isinstance(game, CoalitionGame) and value_fn == game.value:
-        if (mean_value_fn is None and game.n == n and B.shape == game.background.shape
+        if mean_value_fn is not None:  # its means may depend on any column: all are played
+            C = game._cols
+            return _GameOver(n, B, lambda v, rows: game._values(v[:, C], rows[:, C]),
+                             mean_value_fn)
+        if (game.n == n and B.shape == game.background.shape
                 and B.tobytes() == game.background.tobytes()):
             return game
-        C = game._cols
-        return _GameOver(n, B, lambda v, rows: game._values(v[:, C], rows[:, C]), mean_value_fn)
+        return _GameOver(n, B, game._values, None, game)
 
     def values(visible, rows):
         return np.array([value_fn(_members(v), b) for v, b in zip(visible, rows)])

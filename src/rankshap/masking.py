@@ -46,7 +46,13 @@ def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.ascontiguousarray(keys)
     if keys.shape[1] == 0:  # one empty key for every row
         return np.arange(min(len(keys), 1)), np.zeros(len(keys), dtype=np.intp)
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    width = keys.itemsize * keys.shape[1]
+    if width <= 8:  # zero-padded to one uint64 each, which sorts faster than np.void
+        padded = np.zeros((len(keys), 8), dtype=np.uint8)
+        padded[:, :width] = keys.view(np.uint8).reshape(len(keys), width)
+        keys = padded.view(np.uint64).ravel()
+    else:
+        keys = keys.view(np.dtype((np.void, width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     position = np.empty_like(order)

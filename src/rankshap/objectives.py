@@ -71,14 +71,28 @@ class _PairTauObjective(ListwiseObjective):
         self._pairs = np.triu(np.ones((m, m), dtype=bool), k=1)
         if members is not None:
             self._pairs &= members[:, None] | members[None, :]
+        self._members = members
         self._n_pairs = int(np.count_nonzero(self._pairs))
         self._ref_pos = _ranks_of(self.reference)
         self._rank_values = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        self._narrow_ref_pos = self._ref_pos.astype(self._rank_values.dtype)  # compared, not indexed
         # A list's count is at most P, so a narrow signed sum is exact.
         self._count_dtype = np.int32 if self._n_pairs < 2**31 else np.int64
+        self._rank_pairs = None  # rank pairs r < s, made by the first call of k >= m lists
 
     def evaluate_many(self, perms: np.ndarray) -> np.ndarray:
         perms = self._check(perms)
+        # Compare along the longer axis, the lists' or the documents': numpy's
+        # per-row overhead outweighs the work of a short inner loop.
+        if len(perms) >= perms.shape[1]:
+            discordant = self._count_by_rank(perms)
+        else:
+            discordant = self._count_by_document(perms)
+        return (self._n_pairs - 2 * discordant) / self._n_pairs
+
+    def _count_by_document(self, perms: np.ndarray) -> np.ndarray:
+        """Discordant pairs per list from (rows, m, m) comparisons of the ranks
+        of the reference's documents."""
         k, m = perms.shape
         # a[i, t]: the rank perms[i] gives the reference's t-th document.
         a = np.empty((k, m), dtype=self._rank_values.dtype)
@@ -91,7 +105,29 @@ class _PairTauObjective(ListwiseObjective):
             worse = rows[:, :, None] > rows[:, None, :]
             worse &= self._pairs
             discordant[lo:lo + step] = worse.reshape(len(rows), -1).sum(1, self._count_dtype)
-        return (self._n_pairs - 2 * discordant) / self._n_pairs
+        return discordant
+
+    def _count_by_rank(self, perms: np.ndarray) -> np.ndarray:
+        """Discordant pairs per list from (pairs, k) comparisons along the lists.
+
+        q[r, i] is the reference position of list i's r-th document, so rank
+        pair r < s is discordant when q[r] > q[s], and counts when either
+        document is a member. The pairs are walked in blocks within
+        MASK_BUDGET_BYTES of (pairs, k) booleans."""
+        if self._rank_pairs is None:
+            self._rank_pairs = np.triu_indices(self.m, k=1)
+        first, second = self._rank_pairs
+        q = self._narrow_ref_pos.take(perms.T)
+        member = None if self._members is None else self._members[q]
+        discordant = np.zeros(len(perms), dtype=np.int64)
+        step = min(255, chunk_size(len(perms)))  # so a block's counts fit a uint8
+        for lo in range(0, len(first), step):
+            r, s = first[lo:lo + step], second[lo:lo + step]
+            worse = q.take(r, axis=0) > q.take(s, axis=0)
+            if member is not None:
+                worse &= member.take(r, axis=0) | member.take(s, axis=0)
+            discordant += worse.view(np.uint8).sum(0, dtype=np.uint8)
+        return discordant
 
 
 class KendallTauObjective(_PairTauObjective):
@@ -258,8 +294,8 @@ class CoalitionGame:
         visible = np.broadcast_to(visible, (len(inv), self.n))
         if len(self._played) == self.n or len(inv) < 2:
             return self._values(visible[:, self._cols], self._distinct[inv])
-        keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1),
-                          inv[:, None].view(np.uint8)])
+        index_bytes = inv.astype(np.min_scalar_type(len(self._distinct)))[:, None].view(np.uint8)
+        keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1), index_bytes])
         run = np.append(True, (keys[1:] != keys[:-1]).any(axis=1))  # where a run starts
         heads = np.flatnonzero(run)
         first, inverse = first_rows(keys[heads])

@@ -99,10 +99,11 @@ class TalentScorer(Scorer):
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        codes = np.rint(X[:, 3]).astype(int)
-        bad = (codes < 0) | (codes >= len(University))
+        codes = np.rint(X[:, 3])  # checked before the cast, which NaN or 1e200 would break
+        bad = ~((codes >= 0) & (codes < len(University)))
         if bad.any():
             raise ValueError(f"unknown university code {X[bad, 3][0]!r}")
+        codes = codes.astype(int)
         norm = np.clip((X[:, 2] - _WORST[codes]) / (_BEST[codes] - _WORST[codes]), 0.0, 1.0)
         base = norm + X[:, 1] + X[:, 0]
         meets = X[:, 4] >= 0.5

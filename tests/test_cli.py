@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -577,6 +578,18 @@ def test_scorer_width_mismatch_exit_2(workspace, capsys, command):
         assert f"scorer {scorer} reads {width} features" in err
         assert f"{data_file} has {n}" in err
         assert not out.exists()
+
+
+def test_talent_university_code_out_of_range_exit_2(tmp_path, capsys):
+    # The code's range is checked before its cast to int, which would warn on 1e200.
+    data = tmp_path / "data.txt"
+    data.write_text("1 qid:a 1:0.5 2:0.5 3:3.0 4:1e200 5:1\n0 qid:a 1:0.2 2:0.9 3:3.5 4:0 5:1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["explain", "--data", str(data), "--scorer", '{"kind": "talent"}',
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown university code np.float64(1e+200)" in capsys.readouterr().err
 
 
 def test_single_document_query_gets_zero_attribution(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_group
 from oracles import apply_mask, masked_group
 from rankshap import DimensionError, LinearScorer, coalition_to_template
+from rankshap.masking import first_rows
 
 
 def test_coalition_to_template_empty_masks_everything():
@@ -96,3 +97,33 @@ def test_masking_one_feature_shifts_linear_scores_in_closed_form(rng):
         scorer.score_batch(masked.feature_matrix()),
         scorer.score_batch(X) + shift,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dtype=st.sampled_from([np.bool_, np.uint8, np.uint16, np.intp, np.float64]),
+    width=st.integers(0, 3),
+    rows=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_first_rows_keys_rows_by_their_bytes(dtype, width, rows, seed):
+    # Keys of up to 8 bytes sort as integers and wider ones as np.void; either
+    # way rows are equal exactly when their bytes are, so -0.0 and 0.0 differ.
+    rng = np.random.default_rng(seed)
+    if dtype is np.float64:
+        keys = rng.choice([0.0, -0.0, 1.5, -1.5], size=(rows, width))
+    else:
+        keys = rng.integers(0, 3, size=(rows, width)).astype(dtype)
+    firsts = {}  # each distinct row's bytes and its first index, in first-seen order
+    for i, row in enumerate(keys):
+        firsts.setdefault(row.tobytes(), i)
+    first, inverse = first_rows(keys)
+    assert first.tolist() == list(firsts.values())
+    assert inverse.tolist() == [list(firsts).index(row.tobytes()) for row in keys]
+    assert keys[first][inverse].tobytes() == keys.tobytes()
+
+
+def test_first_rows_of_no_rows():
+    for keys in (np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 2)), np.zeros((0, 0))):
+        first, inverse = first_rows(keys)
+        assert first.tolist() == [] and inverse.tolist() == []

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rankshap import (
     TopKTauObjective,
     coalition_to_template,
     make_objective,
+    masking,
     rank,
     reference_ranking,
 )
@@ -183,6 +185,40 @@ def test_objectives_match_oracles_on_tied_scores(m, levels, seed, data):
         make_objective(f"topk:{m}", ref).evaluate_many(perms),
         make_objective("kendall", ref).evaluate_many(perms),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 30),
+    shape=st.sampled_from(["fewer", "equal", "more"]),
+    levels=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pair_tau_layouts_match_oracles_for_fewer_equal_and_more_lists(m, shape, levels, seed,
+                                                                       data):
+    # k < m lists are counted per document and k >= m along the lists, in blocks
+    # of rank pairs that a 1-byte budget splits into one pair each; from 24
+    # documents on a list has more than 255 pairs, which split at any budget.
+    rng = np.random.default_rng(seed)
+    k = {"fewer": data.draw(st.integers(1, max(1, m - 1))), "equal": m,
+         "more": data.draw(st.integers(m + 1, 2 * m + 3))}[shape]
+    ref = rng.permutation(m)
+    scores = rng.integers(0, levels, size=(k, m)).astype(float)
+    scores[0] = 1.0  # a whole-row tie ranks in document order
+    perms = rank_many(scores)
+    n_top = data.draw(st.integers(1, m))
+    docs = sorted(set(rng.choice(m, size=data.draw(st.integers(1, m))).tolist()))
+    cases = [
+        ("kendall", lambda p: kendall_tau(ref, p)),
+        (f"topk:{n_top}", lambda p: topk_tau(ref, p, n_top)),
+        ("group:" + ",".join(map(str, docs)), lambda p: subset_tau(ref, p, docs)),
+    ]
+    for spec, oracle in cases:
+        expected = [oracle(p) for p in perms]
+        assert_bitwise_equal(make_objective(spec, ref).evaluate_many(perms), expected)
+        with mock.patch.object(masking, "MASK_BUDGET_BYTES", 1):
+            assert_bitwise_equal(make_objective(spec, ref).evaluate_many(perms), expected)
 
 
 @pytest.mark.parametrize("spec", ["kendall", "topk:10", "group:0,500"])

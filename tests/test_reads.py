@@ -348,6 +348,30 @@ def test_null_features_cost_no_evaluation():
     assert _PointwiseGame(x, scorer, mixed)._played.tolist() == [2, 5]
 
 
+def test_permutation_over_another_background_keys_the_pairs():
+    # A bound game played over a background unlike its own keys its pairs on the
+    # columns that game would play over that background: it scores the rows of
+    # the same game built over it, and keeps the bytes of one prefix at a time.
+    rng = np.random.default_rng(5)
+    n, m, n_samples = 8, 5, 30
+    group = make_group(rng.random((m, n)))
+    w = rng.normal(size=n)
+    w[::2] = 0.0
+    scorer = LinearScorer(w)
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    game = ListwiseGame(group, scorer, objective, rng.random((4, n)))
+    other = rng.random((6, n))
+    values, base = oracles.permutation_walk(game.value, n, other, n_samples, 3)
+    rows = []
+    for played in (game, ListwiseGame(group, scorer, objective, other)):
+        with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+            attr = permutation_shapley(played.value, n, other, n_samples, 3)
+        rows.append(sum(len(c.args[0]) for c in score.call_args_list))
+        assert attr.values.tobytes() == values.tobytes()
+        assert np.float64(attr.base_value).tobytes() == np.float64(base).tobytes()
+    assert rows[0] == rows[1] < n_samples * (n + 1) * m
+
+
 def test_values_evaluates_rows_unlike_its_own_in_full():
     # For a scorer that takes full rows, a background whose unread columns are
     # not finite, or in the pointwise game not of the game's sign, plays those
