@@ -78,6 +78,8 @@ class Attribution:
         self.values = np.asarray(self.values, dtype=float)
         if not np.isfinite(self.values).all():
             raise ValueError("attribution values must be finite")
+        if not math.isfinite(self.base_value):
+            raise ValueError(f"attribution base_value must be finite, got {self.base_value!r}")
 
     @property
     def n(self) -> int:
@@ -183,14 +185,13 @@ class _GameOver(CoalitionGame):
     """A game over a given background whose `_values` is the given `values(visible,
     rows)`; each coalition mean, in `means` or `table()`, is one `mean_value_fn(S)`
     call instead, unless that is None. Given the `game` whose `_values` that is, it
-    plays the columns that game's scorer and rows would play over the background."""
+    plays the columns that game's scorer reads."""
 
     def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn,
                  game: CoalitionGame | None = None):
         if game is None:
             super().__init__(n, B)
         else:
-            self._signed = game._signed
             super().__init__(n, B, game.scorer, game.X)
         self._values = values
         self._mean_value_fn = mean_value_fn
@@ -448,7 +449,13 @@ def pointwise_shap_explain(
         raise ValueError(f"top_docs must be at least 1, got {top_docs}")
     B = background_array(background)
     top = reference_ranking(group, scorer)[:top_docs]
-    attr = _run_estimator(_PointwiseGame(group.feature_matrix()[top], scorer, B), background, cfg)
+    game = _PointwiseGame(group.feature_matrix()[top], scorer, B)
+    try:
+        # Finite scores can sum to inf, and infinite ones to NaN.
+        with np.errstate(over="raise", invalid="raise"):
+            attr = _run_estimator(game, background, cfg)
+    except FloatingPointError as exc:
+        raise ValueError(f"query {group.query_id!r}: pointwise attribution: {exc}") from None
     meta = dict(attr.meta, estimator=f"pointwise-{cfg.kind}", seed=cfg.seed,
                 top_docs=len(top), query_id=group.query_id)
     # + 0.0 turns a -0.0 that the kernel fit can give into 0.0, as a sum over documents did.

@@ -219,13 +219,10 @@ class CoalitionGame:
 
     Given the `scorer` and the rows it scores, the game plays only the columns
     in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
-    row) pairs on them and evaluates one of each key; a `reads_only` scorer is given
-    them alone. For another, an unread column can still make a zero score -0.0 (x * 0.0
-    for negative x) or NaN (infinite x), so it is played unless its values are finite
-    and, where a value is a score, of one sign. Every output keeps the bytes of the full game.
+    row) pairs on them, evaluates one of each key and, unless the scorer reads
+    every column, gives it those columns alone. Every output keeps the bytes of
+    the full game.
     """
-
-    _signed = True  # whether a value keeps the sign of a zero score; a ranking does not
 
     def __init__(self, n: int, background: BackgroundSet | np.ndarray,
                  scorer: Scorer | None = None, X: np.ndarray | None = None):
@@ -248,15 +245,10 @@ class CoalitionGame:
                                               or reads[-1] >= n or (np.diff(reads) <= 0).any()):
             raise ValueError(f"scorer {scorer.name}: reads({n}) must be strictly increasing"
                              f" feature indices in [0, {n}), got {reads.tolist()}")
-        rows = np.vstack([self.X, self.background])
-        sign = np.signbit(rows)
-        away = scorer.reads_only | np.isfinite(rows).all(axis=0) & (
-            sign.all(axis=0) | ~sign.any(axis=0) | (not self._signed))
-        away[reads.astype(np.intp)] = False  # np.asarray([]) is float
-        self._played = np.flatnonzero(~away)
+        self._played = reads.astype(np.intp)  # np.asarray([]) is float
         # Padded to whole bytes with the last: one flat np.packbits then packs each row.
         self._packed = np.pad(self._played, (0, -len(self._played) % 8), mode="edge")
-        if scorer.reads_only and len(self._played) < n:  # `_values` gets those columns alone
+        if len(self._played) < n:  # `_values` gets those columns alone
             self._cols = self._played
         self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
 
@@ -369,8 +361,6 @@ class CoalitionGame:
 
 class ListwiseGame(CoalitionGame):
     """Coalition game for one query: v(S, b) is the objective of the masked list."""
-
-    _signed = False  # scores of -0.0 and 0.0 tie, so they rank alike
 
     def __init__(self, group: QueryGroup, scorer: Scorer, objective: ListwiseObjective,
                  background: BackgroundSet | np.ndarray):

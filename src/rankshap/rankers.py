@@ -11,19 +11,13 @@ from .errors import DimensionError
 
 
 class Scorer:
-    """Deterministic document scorer: feature vector -> real score. A `reads_only` scorer
-    also scores rows of its `reads(n)` columns alone, with the full rows' bytes, and games
-    pass it those; overriding `score_batch` or `reads` resets it unless set again."""
+    """Deterministic document scorer: feature vector -> real score. A scorer that
+    reads fewer than n features also scores rows of its `reads(n)` columns alone,
+    with the full rows' bytes: games pass it those."""
 
     name: str = "scorer"
     # Feature width the scorer reads, or None if it takes any width.
     n_features: int | None = None
-    reads_only: bool = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "reads_only" not in vars(cls) and {"score_batch", "reads"} & vars(cls).keys():
-            cls.reads_only = False
 
     def score(self, features: np.ndarray) -> float:
         """Score of one feature vector: a one-row `score_batch`."""
@@ -43,14 +37,13 @@ class Scorer:
 
     def reads(self, n: int) -> np.ndarray:
         """The sorted indices of the features among n that a score can depend
-        on; a score must not depend on any other column. All n by default."""
+        on; a score must not depend on any other column, not even for the sign
+        of a zero. All n by default."""
         return np.arange(n)
 
 
 class LinearScorer(Scorer):
     """Dot product of a fixed weight vector with the features, over its non-zero terms."""
-
-    reads_only = True
 
     def __init__(self, weights):
         try:

@@ -105,7 +105,8 @@ class TalentScorer(Scorer):
             raise ValueError(f"unknown university code {X[bad, 3][0]!r}")
         codes = codes.astype(int)
         norm = np.clip((X[:, 2] - _WORST[codes]) / (_BEST[codes] - _WORST[codes]), 0.0, 1.0)
-        base = norm + X[:, 1] + X[:, 0]
+        with np.errstate(over="ignore"):  # to an infinite score, which ranking rejects
+            base = norm + X[:, 1] + X[:, 0]
         meets = X[:, 4] >= 0.5
         if self.variant == "biased":
             score = np.where(_NEGATIVE[codes], 0.7 * base, base)

@@ -55,11 +55,15 @@ class InteractionScorer(Scorer):
 
 
 class SignedLinear(LinearScorer):
-    """A linear scorer whose sums start from -0.0, so that a zero score keeps
-    the sign of its terms: all -0.0 terms sum to -0.0."""
+    """A linear scorer whose sums of its non-zero terms start from -0.0, so that
+    a zero score keeps the sign of its terms: all -0.0 terms sum to -0.0. It
+    scores full rows and rows of its read columns alone."""
 
     def score_batch(self, X):
-        return (np.asarray(X) * self.weights).sum(axis=1, initial=-0.0)
+        X = np.asarray(X)
+        if X.shape[1] > len(self._nonzero):
+            X = X[:, self._nonzero]
+        return (X * self._w).sum(axis=1, initial=-0.0)
 
 
 def brute_force_shapley(vtilde, n):

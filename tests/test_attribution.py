@@ -627,3 +627,9 @@ class TestAttributionSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Attribution(values=np.array([1.0, np.inf]), base_value=0.0)
+
+    @pytest.mark.parametrize("base", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_base_value(self, base):
+        # `save` would write a sidecar that `load` refuses ("base_value": Infinity).
+        with pytest.raises(ValueError, match="base_value must be finite"):
+            Attribution(values=[0.0, 1.0], base_value=base)

@@ -401,6 +401,24 @@ def test_infinite_scores_exit_2(workspace, capsys):
     assert not (tmp / "o").exists()
 
 
+@pytest.mark.parametrize("warn", ["error", "default"])
+@pytest.mark.parametrize("estimator", ["exact", "kernel", "permutation"])
+def test_pointwise_overflow_exit_2_naming_the_query(tmp_path, capsys, estimator, warn):
+    # Finite scores whose mean over two documents overflows in the pointwise game.
+    data = tmp_path / "data.txt"
+    data.write_text("0 qid:q1 1:1e308\n0 qid:q1 1:0.924\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        code = main(["evaluate", "--data", str(data), "--scorer",
+                     '{"kind": "linear", "weights": [-1.0]}', "--methods", "pointwise",
+                     "--estimator", estimator, "--nsamples", "4",
+                     "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: query 'q1': pointwise attribution: overflow encountered")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("cfg", [
     {"kind": "linear", "weights": [1, 0, 0, 0, 0], "bias": 3},
     {"kind": "talent", "varient": "unbiased"},

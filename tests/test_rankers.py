@@ -141,7 +141,7 @@ def test_linear_scorer_rejects_rows_of_another_width(width):
 def test_linear_scorer_sums_its_non_zero_terms_only(rng):
     w = np.array([0.5, 0.0, -2.0, -0.0, 1.5])
     scorer = LinearScorer(w)
-    assert scorer.reads_only and scorer.reads(5).tolist() == [0, 2, 4]
+    assert scorer.reads(5).tolist() == [0, 2, 4]
     X = rng.normal(size=(6, 5))
     expected = (X[:, [0, 2, 4]] * w[[0, 2, 4]]).sum(axis=1)
     assert scorer.score_batch(X).tobytes() == expected.tobytes()
@@ -170,23 +170,6 @@ def test_linear_scorer_sums_its_non_zero_terms_only(rng):
     # Without a zero weight the scorer sums every term, in einsum's row order.
     dense = LinearScorer(w + 3.0)
     assert dense.score_batch(X).tobytes() == np.einsum("ij,j->i", X, w + 3.0).tobytes()
-
-
-def test_overriding_score_batch_or_reads_opts_out_of_read_columns():
-    class Signed(LinearScorer):
-        def score_batch(self, X):
-            return (np.asarray(X) * self.weights).sum(axis=1, initial=-0.0)
-
-    class Listed(LinearScorer):
-        def reads(self, n):
-            return list(range(n))
-
-    class Declared(Signed):
-        reads_only = True
-
-    assert not Scorer.reads_only and LinearScorer.reads_only
-    assert not Signed.reads_only and not Listed.reads_only and Declared.reads_only
-    assert not TalentScorer.reads_only and not InteractionScorer.reads_only
 
 
 def test_score_derives_from_score_batch():

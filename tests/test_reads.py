@@ -1,21 +1,20 @@
 """A scorer names the features it reads (`Scorer.reads`), and a game keys its
 background rows, its coalitions and its (coalition, row) pairs on those
-features, so that a feature no score reads costs no evaluation.
-
-A `LinearScorer` opts in to being given the read columns alone
-(`reads_only`), so its games mask and score only those.
+features and gives the scorer those columns alone, so that a feature no score
+reads costs no evaluation.
 
 Every output must keep the bytes of the full game, which a scorer that hides
 its `reads` plays, as a tracing wrapper that delegates only `score_batch`
 does: exact, kernel (sampled and fully enumerated) and permutation
 estimates, listwise and pointwise, greedy selection, and a kernel that reads
 the table an exact estimate filled, also over a background whose unread
-columns are unlike the game's own and at small mask budgets. An unread
-column still moves the sign of a zero score that sums every column (x * 0.0
-is -0.0 for negative x), so the inputs hold columns of one sign and of mixed
-signs, signed zeros in read and unread columns, background rows that differ
-only in unread columns, and all-zero and -0.0 weights; a scorer may name its
-reads as a Python list, `[]` for none.
+columns are unlike the game's own and at small mask budgets. No score may
+depend on an unread column, not even for the sign of a zero (x * 0.0 is -0.0
+for negative x), so the inputs hold columns of one sign and of mixed signs,
+signed zeros in read and unread columns, background rows that differ only in
+unread columns, all-zero and -0.0 weights, a linear scorer whose sums start
+from -0.0 and a scorer that is not linear; a scorer may name its reads as a
+Python list, `[]` for none.
 """
 
 from unittest import mock
@@ -71,6 +70,26 @@ class ListReads(Scorer):
         return self.inner.reads(n).tolist()
 
 
+class SquaredLinear(Scorer):
+    """The square of a weighted sum over the columns of the non-zero weights,
+    which are its reads. It scores full rows and rows of those columns alone."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.name = f"squared[{len(self.weights)}]"
+        self._reads = np.flatnonzero(self.weights)
+
+    def score_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] > len(self._reads):
+            X = X[:, self._reads]
+        s = np.einsum("ij,j->i", np.ascontiguousarray(X), self.weights[self._reads])
+        return s * s
+
+    def reads(self, n):
+        return self._reads.copy()
+
+
 def signed_rows(rng, k, signs):
     """k rows of |normal| values times each column's sign, or of random signs
     where that sign is 0."""
@@ -78,7 +97,7 @@ def signed_rows(rng, k, signs):
     return rows * np.where(signs == 0, rng.choice([-1.0, 1.0], size=rows.shape), signs)
 
 
-def instance(n, m, bsize, seed, zeros, twins, signed_zeros, signed_sum):
+def instance(n, m, bsize, seed, zeros, twins, signed_zeros, kind):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n)
     unread = {"none": np.zeros(n, bool), "some": rng.random(n) < 0.5,
@@ -101,7 +120,7 @@ def instance(n, m, bsize, seed, zeros, twins, signed_zeros, signed_sum):
                 X[0, c], B[0, c] = 0.0, 0.0
                 B = np.vstack([B, B[:1]])
                 B[-1, c] = -0.0
-    return make_group(X), (SignedLinear if signed_sum else LinearScorer)(w), B
+    return make_group(X), kind(w), B
 
 
 def fingerprint(attr) -> tuple:
@@ -171,37 +190,45 @@ def outputs(group, scorer, B, seed, other=None):
     zeros=st.sampled_from(["none", "some", "all"]),
     twins=st.booleans(),
     signed_zeros=st.booleans(),
-    signed_sum=st.booleans(),
+    kind=st.sampled_from([LinearScorer, SignedLinear, SquaredLinear]),
     listed=st.booleans(),
     how=st.sampled_from([None, "inf", "sign"]),
     budget=st.sampled_from([1, 200, masking.MASK_BUDGET_BYTES]),
 )
 @example(n=1, m=3, bsize=2, seed=0, zeros="all", twins=True, signed_zeros=True,
-         signed_sum=True, listed=False, how=None, budget=masking.MASK_BUDGET_BYTES)
+         kind=SignedLinear, listed=False, how=None, budget=masking.MASK_BUDGET_BYTES)
 @example(n=5, m=4, bsize=3, seed=1, zeros="some", twins=True, signed_zeros=True,
-         signed_sum=False, listed=False, how="sign", budget=200)
+         kind=LinearScorer, listed=False, how="sign", budget=200)
 @example(n=4, m=3, bsize=3, seed=0, zeros="all", twins=True, signed_zeros=True,
-         signed_sum=False, listed=True, how="inf", budget=1)
+         kind=LinearScorer, listed=True, how="inf", budget=1)
 @example(n=6, m=4, bsize=4, seed=2, zeros="some", twins=False, signed_zeros=True,
-         signed_sum=False, listed=False, how="inf", budget=1)
+         kind=LinearScorer, listed=False, how="inf", budget=1)
+@example(n=5, m=3, bsize=2, seed=4, zeros="some", twins=True, signed_zeros=True,
+         kind=SquaredLinear, listed=True, how="inf", budget=200)
 def test_outputs_match_a_scorer_that_hides_its_reads(n, m, bsize, seed, zeros, twins,
-                                                      signed_zeros, signed_sum, listed, how,
+                                                      signed_zeros, kind, listed, how,
                                                       budget):
-    group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, signed_sum)
+    group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, kind)
     played = ListReads(scorer) if listed else scorer
-    if signed_sum and how == "inf":
-        how = "sign"  # its inf * 0.0 terms make NaN scores, which every estimate rejects
     other = unlike(B, scorer.weights, how, seed)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        assert (outputs(group, played, B, seed, other)
-                == outputs(group, HiddenReads(scorer), B, seed, other))
+        with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+            got = outputs(group, played, B, seed, other)
+        assert got == outputs(group, HiddenReads(scorer), B, seed, other)
+    # Every game gives the scorer rows of its read columns alone; only the
+    # reference rankings score the documents' full rows.
+    full = group.feature_matrix()
+    for call in score.call_args_list:
+        X = call.args[0]
+        assert X.shape[1] == len(scorer.reads(n)) or (
+            X.shape == full.shape and X.tobytes() == full.tobytes())
 
 
 @pytest.mark.parametrize("kind", ["linear", "signed", "hidden"])
 @pytest.mark.parametrize("pointwise", [False, True])
 def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, pointwise):
-    # Nonnegative rows, so the full-row games are keyed on the read columns
-    # too; only the linear scorer's games mask and score those alone.
+    # Every scorer that names its reads is given those columns alone; one that
+    # hides them, every column.
     rng = np.random.default_rng(5)
     n, m = 6, 4
     w = [1.0, 0.0, -2.0, -0.0, 0.5, 0.0]
@@ -220,7 +247,7 @@ def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, point
         permutation_shapley(game.value, n, B[::-1], 5, 1)  # through another game
         game.table()
     widths = {call.args[0].shape[1] for call in score.call_args_list}
-    assert widths == ({3} if kind == "linear" else {n})
+    assert widths == ({n} if kind == "hidden" else {3})
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +273,7 @@ def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, point
 def test_permutation_matches_the_walk_one_prefix_at_a_time(n, m, bsize, seed, zeros, twins,
                                                             signed_zeros, interaction, pointwise,
                                                             n_samples, budget):
-    group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, False)
+    group, scorer, B = instance(n, m, bsize, seed, zeros, twins, signed_zeros, LinearScorer)
     B = np.vstack([B, B[::-1]])  # every row twice, one repeat right after its row
     if interaction:
         rng = np.random.default_rng(seed)
@@ -339,12 +366,11 @@ def test_null_features_cost_no_evaluation():
         keys |= {(frozenset(sigma[:j].tolist()) & {2, 5}, tuple(b[[2, 5]]))
                  for j in range(n + 1)}
     assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
-    # The pointwise game of a scorer that takes full rows keys only unread
-    # columns of one sign; a linear scorer's scores read no unread column.
+    # A game plays the read columns alone, whatever the signs of the unread ones.
     x = group.documents[0].features
     mixed = np.vstack([B, -B[:1]])
     assert _PointwiseGame(x, SignedLinear(w), B)._played.tolist() == [2, 5]
-    assert _PointwiseGame(x, SignedLinear(w), mixed)._played.tolist() == list(range(n))
+    assert _PointwiseGame(x, SignedLinear(w), mixed)._played.tolist() == [2, 5]
     assert _PointwiseGame(x, scorer, mixed)._played.tolist() == [2, 5]
 
 
@@ -373,11 +399,10 @@ def test_permutation_over_another_background_keys_the_pairs():
 
 
 def test_values_evaluates_rows_unlike_its_own_in_full():
-    # For a scorer that takes full rows, a background whose unread columns are
-    # not finite, or in the pointwise game not of the game's sign, plays those
-    # columns, so rows that differ there are not keyed alike: each pair is
-    # scored. A linear scorer reads no unread column, so its game keys them all.
-    for kind, unlike in ((SignedLinear, 3), (LinearScorer, 1)):
+    # Background rows that differ only in an unread column, also in its sign or
+    # by an infinite value there, are keyed alike: one pair is scored, and it
+    # gives each row's own score, since no score reads that column.
+    for kind in (SignedLinear, LinearScorer):
         rng = np.random.default_rng(1)
         n = 4
         scorer = kind([1.0, 0.0, 0.0, 2.0])
@@ -385,15 +410,14 @@ def test_values_evaluates_rows_unlike_its_own_in_full():
         rows = np.repeat(rng.random((1, n)), 3, axis=0)
         rows[:, 1] = [0.25, 0.5, 0.75]  # one key: the rows differ in an unread column only
         visible = np.zeros((1, n), dtype=bool)
-        for bad, scored in ((None, 1), (-0.0, unlike), (np.inf, unlike)):
+        for bad in (None, -0.0, np.inf):
             if bad is not None:
                 rows[1, 1] = bad
             game = _PointwiseGame(x, scorer, rows)
-            with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score, \
-                    np.errstate(invalid="ignore"):  # inf * 0.0
+            with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
                 got = game.values(visible, np.arange(3))
                 expected = [scorer.score(np.where(visible[0], x, r)) for r in rows]
-            assert len(score.call_args_list[0].args[0]) == scored
+            assert len(score.call_args_list[0].args[0]) == 1
             assert got.tobytes() == np.array(expected).tobytes()
 
 
