@@ -7,11 +7,12 @@ set are always full means, so the exact estimator is deterministic.
 Each estimator plays the `CoalitionGame` that `_as_game` makes of its
 arguments: exact enumeration reads its `table()`, the kernel its `means` and
 permutation sampling its batched `values`, one background index per prefix.
-When `value_fn` is a game's bound `value` on that game's own background, that
-is the game itself, whose table is kept; otherwise a game over the given
-background masks through the bound game's `_values`, or lifts `value_fn`.
-A `mean_value_fn(S)` given to the exact or kernel estimator is called once
-per coalition instead.
+When `value_fn` is a game's bound `value` and no `mean_value_fn` is given,
+that is the game itself on its own background, whose table is kept, and
+otherwise a game over the given background that masks through the bound
+game's `_values`. Any other `value_fn` is lifted one coalition and row at a
+time, and a `mean_value_fn(S)` given to the exact or kernel estimator is
+called once per coalition instead.
 """
 
 from __future__ import annotations
@@ -203,16 +204,13 @@ class _GameOver(CoalitionGame):
 
 
 def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> CoalitionGame:
-    """The game whose bound `value` is `value_fn`, when B has that game's
-    background bytes and no `mean_value_fn` is given; otherwise a game over B
-    that masks its rows through that game's `_values`, or evaluates `value_fn`
-    one coalition and row at a time."""
+    """Without a `mean_value_fn`, the game whose bound `value` is `value_fn` when
+    B has that game's background bytes, or a game over B that masks its rows
+    through that game's `_values`; otherwise a game over B that evaluates
+    `value_fn` one coalition and row at a time, or `mean_value_fn` once per
+    coalition for its means."""
     game = getattr(value_fn, "__self__", None)
-    if isinstance(game, CoalitionGame) and value_fn == game.value:
-        if mean_value_fn is not None:  # its means may depend on any column: all are played
-            C = game._cols
-            return _GameOver(n, B, lambda v, rows: game._values(v[:, C], rows[:, C]),
-                             mean_value_fn)
+    if mean_value_fn is None and isinstance(game, CoalitionGame) and value_fn == game.value:
         if (game.n == n and B.shape == game.background.shape
                 and B.tobytes() == game.background.tobytes()):
             return game
@@ -455,7 +453,7 @@ def pointwise_shap_explain(
         with np.errstate(over="raise", invalid="raise"):
             attr = _run_estimator(game, background, cfg)
     except FloatingPointError as exc:
-        raise ValueError(f"query {group.query_id!r}: pointwise attribution: {exc}") from None
+        raise ValueError(f"pointwise attribution: {exc}") from None
     meta = dict(attr.meta, estimator=f"pointwise-{cfg.kind}", seed=cfg.seed,
                 top_docs=len(top), query_id=group.query_id)
     # + 0.0 turns a -0.0 that the kernel fit can give into 0.0, as a sum over documents did.

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .attribution import ESTIMATORS, EstimatorConfig, rankingshap_explain
 from .data import group_by_query, parse_letor, sample_background
-from .errors import DimensionError, RankShapError
+from .errors import DimensionError, RankShapError, naming_query
 from .evaluation import (
     EvalReport,
     estimate_ground_truth,
@@ -27,22 +25,6 @@ from .synthetic import SYNTHETIC_METHODS, run_synthetic, write_synthetic_csv
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RANKSHAP_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"RANKSHAP_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _map_queries(fn, items):
-    """Apply fn over queries, optionally in a thread pool; output keeps input order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_inputs(args):
@@ -114,10 +96,11 @@ def cmd_explain(args) -> int:
     cfg = EstimatorConfig(kind=args.estimator, n_samples=n_samples, seed=args.seed)
 
     def explain_one(group):
-        objective = _objective(args.objective, group, scorer)
-        return rankingshap_explain(group, scorer, objective, background, cfg)
+        with naming_query(group.query_id):
+            objective = _objective(args.objective, group, scorer)
+            return rankingshap_explain(group, scorer, objective, background, cfg)
 
-    attrs = _map_queries(explain_one, groups)
+    attrs = [explain_one(g) for g in groups]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for group, attr in zip(groups, attrs):
@@ -140,16 +123,17 @@ def cmd_ground_truth(args) -> int:
     background = sample_background(docs, args.background, args.seed)
 
     def gt_one(group):
-        objective = _objective(args.objective, group, scorer)
-        gt = estimate_ground_truth(
-            group, scorer, objective, background, args.nsamples, args.runs, args.seed
-        )
-        stability = sizes and stability_curve(
-            group, scorer, objective, background, sizes, runs=args.runs, seed=args.seed
-        )
+        with naming_query(group.query_id):
+            objective = _objective(args.objective, group, scorer)
+            gt = estimate_ground_truth(
+                group, scorer, objective, background, args.nsamples, args.runs, args.seed
+            )
+            stability = sizes and stability_curve(
+                group, scorer, objective, background, sizes, runs=args.runs, seed=args.seed
+            )
         return group, gt, stability
 
-    results = _map_queries(gt_one, groups)
+    results = [gt_one(g) for g in groups]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for group, gt, stability in results:

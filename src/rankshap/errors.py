@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class RankShapError(Exception):
     """Base class for all package-specific errors."""
@@ -23,3 +25,14 @@ class CapacityError(RankShapError, ValueError):
 
 class EstimationError(RankShapError, RuntimeError):
     """An estimator could not produce a result (e.g. singular regression)."""
+
+
+@contextmanager
+def naming_query(query_id: str):
+    """Prefix `query '<id>': ` to the message of a ValueError or RankShapError
+    raised inside, keeping its type: the error of one query in a file of many."""
+    try:
+        yield
+    except (ValueError, RankShapError) as exc:
+        exc.args = (f"query {query_id!r}: {exc}",)
+        raise

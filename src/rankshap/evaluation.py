@@ -24,7 +24,7 @@ from .attribution import (
 )
 from .baselines import greedy_attribution, random_attribution
 from .data import BackgroundSet, QueryGroup, background_array, sample_background
-from .errors import DimensionError
+from .errors import DimensionError, naming_query
 from .masking import check_exact_width
 from .objectives import ListwiseGame, ListwiseObjective, make_objective, reference_ranking
 from .rankers import Scorer
@@ -310,7 +310,8 @@ def run_benchmark(
     Backgrounds are drawn per query from that query's own documents. Queries
     with a single document are skipped and counted. An estimated ground truth
     runs at `estimate_ground_truth`'s defaults. The methods share the query's
-    game, so after an exact ground truth they read its coalition table.
+    game, so after an exact ground truth they read its coalition table. A
+    ValueError or RankShapError raised by a query's work names the query.
     """
     if gt_source not in ("exact", "estimated"):
         raise ValueError(f"unknown gt_source {gt_source!r}")
@@ -328,29 +329,30 @@ def run_benchmark(
         if len(group) == 1:
             skipped += 1
             continue
-        background = sample_background(
-            list(group.documents), min(background_size, len(group)), qseed
-        )
-        objective = make_objective(objective_spec, reference_ranking(group, scorer))
-        game = ListwiseGame(group, scorer, objective, background)
-        if gt_source == "exact":
-            gt = exact_shapley(game.value, game.n, background).values
-        else:
-            gt = estimate_ground_truth(
-                group, scorer, objective, background, seed=qseed
-            ).mean_attribution.values
-        greedy_results = {}
-        for method in methods:
-            pred = gt if method.kind == "gt" else _run_method(
-                method, group, game, background, cfg, qseed, greedy_results
+        with naming_query(group.query_id):
+            background = sample_background(
+                list(group.documents), min(background_size, len(group)), qseed
             )
-            record = {"query_id": group.query_id, "method": method.name}
-            record["order_all"] = order_metric(gt, pred)
-            record["valdis_all"] = valdis_metric(gt, pred)
-            for k in ks:
-                record[f"order@{k}"] = order_metric(gt, pred, k)
-                record[f"valdis@{k}"] = valdis_metric(gt, pred, k)
-            per_query.append(record)
+            objective = make_objective(objective_spec, reference_ranking(group, scorer))
+            game = ListwiseGame(group, scorer, objective, background)
+            if gt_source == "exact":
+                gt = exact_shapley(game.value, game.n, background).values
+            else:
+                gt = estimate_ground_truth(
+                    group, scorer, objective, background, seed=qseed
+                ).mean_attribution.values
+            greedy_results = {}
+            for method in methods:
+                pred = gt if method.kind == "gt" else _run_method(
+                    method, group, game, background, cfg, qseed, greedy_results
+                )
+                record = {"query_id": group.query_id, "method": method.name}
+                record["order_all"] = order_metric(gt, pred)
+                record["valdis_all"] = valdis_metric(gt, pred)
+                for k in ks:
+                    record[f"order@{k}"] = order_metric(gt, pred, k)
+                    record[f"valdis@{k}"] = valdis_metric(gt, pred, k)
+                per_query.append(record)
     report = EvalReport(rows={}, ks=ks, per_query=per_query, skipped_queries=skipped)
     for method in methods:
         records = [r for r in per_query if r["method"] == method.name]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -401,6 +400,26 @@ def test_infinite_scores_exit_2(workspace, capsys):
     assert not (tmp / "o").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    ["explain", "--background", "2"],
+    ["ground-truth", "--nsamples", "8", "--runs", "2", "--background", "2"],
+    ["evaluate", "--methods", "rankingshap,pointwise", "--background", "2"],
+])
+def test_non_finite_score_exit_2_naming_the_query(tmp_path, capsys, command):
+    # Query 'big' scores +inf in its reference ranking; 'ok' scores finitely.
+    data = tmp_path / "data.txt"
+    data.write_text("0 qid:big 1:1e308 2:0.5\n1 qid:big 1:0.5 2:0.2\n"
+                    "0 qid:ok 1:0.1 2:0.2\n1 qid:ok 1:0.3 2:0.1\n")
+    out = tmp_path / "o"
+    code = main([*command, "--data", str(data), "--scorer",
+                 '{"kind": "linear", "weights": [1e308, 1.0]}', "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: query 'big': non-finite score: a scorer returned NaN or +-inf\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("warn", ["error", "default"])
 @pytest.mark.parametrize("estimator", ["exact", "kernel", "permutation"])
 def test_pointwise_overflow_exit_2_naming_the_query(tmp_path, capsys, estimator, warn):
@@ -431,23 +450,6 @@ def test_unknown_scorer_config_key_exit_2(workspace, capsys, cfg):
     assert code == 2
     assert f"{cfg['kind']} scorer config has unknown keys" in capsys.readouterr().err
     assert not (tmp / "o").exists()
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-@pytest.mark.parametrize("command", ["explain", "ground-truth"])
-def test_bad_thread_count_exit_2(workspace, capsys, monkeypatch, command, threads):
-    tmp, data, scorer = workspace
-    monkeypatch.setenv("RANKSHAP_THREADS", threads)
-    out = tmp / "o"
-    code = main([
-        command, "--data", str(data), "--scorer", str(scorer), "--nsamples", "8",
-        "--background", "2", "--out", str(out),
-    ])
-    assert code == 2
-    assert f"RANKSHAP_THREADS must be a positive integer, got {threads!r}" in (
-        capsys.readouterr().err
-    )
-    assert not out.exists()
 
 
 def test_evaluate_gt_file_self_evaluation(tmp_path):
@@ -536,45 +538,25 @@ def test_synthetic_bad_method_exit_2_before_any_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_threaded_ground_truth_stability_matches_serial(workspace, monkeypatch):
+def test_ground_truth_per_query_runs_write_the_whole_file_bytes(workspace):
+    # One `--query` run per query, as in separate processes, writes the files of
+    # the whole-file run; only the recorded config of gt_<qid>.json differs.
     tmp, data, scorer = workspace
-    threads_used = []
-
-    def stability_curve(*args, **kwargs):
-        threads_used.append(threading.current_thread())
-        return evaluation.stability_curve(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "stability_curve", stability_curve)
-    outputs = {}
-    for threads in ("1", "2"):
-        # The same relative --out, so that the config sidecars match too.
-        (tmp / threads).mkdir()
-        monkeypatch.chdir(tmp / threads)
-        monkeypatch.setenv("RANKSHAP_THREADS", threads)
-        assert main([
-            "ground-truth", "--data", str(data), "--scorer", str(scorer), "--nsamples", "32",
-            "--runs", "2", "--background", "3", "--stability", "32,64", "--out", "gt",
-        ]) == 0
-        outputs[threads] = {f.name: f.read_bytes() for f in sorted(Path("gt").iterdir())}
-    assert len(outputs["1"]) == 3 * (2 + 2 * 2 + 1)
-    assert outputs["1"] == outputs["2"]
-    # The serial run sweeps on the main thread, the pooled one in its workers.
-    assert threads_used[:3] == [threading.main_thread()] * 3
-    assert threading.main_thread() not in threads_used[3:]
-
-
-def test_threaded_explain_matches_serial(workspace, monkeypatch):
-    tmp, data, scorer = workspace
-    serial, threaded = tmp / "s", tmp / "t"
-    args = [
-        "explain", "--data", str(data), "--scorer", str(scorer),
-        "--estimator", "exact", "--background", "4", "--seed", "2",
-    ]
-    main(args + ["--out", str(serial)])
-    monkeypatch.setenv("RANKSHAP_THREADS", "4")
-    main(args + ["--out", str(threaded)])
-    for f in sorted(serial.glob("query_*.csv")):
-        assert f.read_bytes() == (threaded / f.name).read_bytes()
+    args = ["ground-truth", "--data", str(data), "--scorer", str(scorer), "--nsamples", "32",
+            "--runs", "2", "--background", "3", "--stability", "32,64"]
+    assert main(args + ["--out", str(tmp / "all")]) == 0
+    whole = {f.name: f.read_bytes() for f in (tmp / "all").iterdir()}
+    assert len(whole) == 3 * (2 + 2 * 2 + 1)
+    for qid in ("q0", "q1", "q2"):
+        out = tmp / qid
+        assert main(args + ["--query", qid, "--out", str(out)]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(files) == sorted(name for name in whole if name.startswith(f"gt_{qid}"))
+        meta = json.loads(files.pop(f"gt_{qid}.json"))
+        expected = json.loads(whole[f"gt_{qid}.json"])
+        assert meta.pop("config") == dict(expected.pop("config"), query=qid, out=str(out))
+        assert meta == expected
+        assert all(files[name] == whole[name] for name in files)
 
 
 @pytest.mark.parametrize("command", ["explain", "ground-truth", "evaluate"])
@@ -664,7 +646,6 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         cwd.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("RANKSHAP_THREADS", None)
         for argv in commands:
             subprocess.run([sys.executable, "-m", "rankshap.cli", *argv], cwd=cwd, env=env,
                            check=True, capture_output=True)
