@@ -279,6 +279,15 @@ class TestRunBenchmark:
             assert list(row) == report.columns()
             assert all(np.isnan(v) for v in row.values())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_query_error_names_the_query(self):
+        big = make_group([[1e308, 0.5], [0.5, 0.2]], qid="big")
+        scorer = LinearScorer(np.array([1e308, 1.0]))
+        with pytest.raises(ValueError, match=r"^query 'big': non-finite score"):
+            run_benchmark([make_group([[0.1, 0.2], [0.3, 0.1]], qid="ok"), big], scorer,
+                          "kendall", ["gt"], EstimatorConfig(kind="exact"),
+                          background_size=2, ks=(1,))
+
     def test_greedy_expansion_and_csv(self, tmp_path):
         groups, scorer = self._dataset(queries=2)
         cfg = EstimatorConfig(kind="exact")
