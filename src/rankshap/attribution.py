@@ -253,21 +253,24 @@ def permutation_shapley(
     """Monte Carlo Shapley estimation by sampled feature permutations.
 
     One sample draws a permutation and one background vector and walks the
-    permutation once, so it yields a marginal contribution for every feature
-    at the cost of n+1 value evaluations. The n+1 prefixes of a chunk of
-    samples are evaluated in one batch, and the chunk's contributions are
-    added in one step that still sums them sample by sample, in the order
-    they are drawn.
+    permutation once, so it yields a marginal contribution for every feature.
+    The walk visits only the r features the game plays: r+1 value evaluations
+    per sample, and the step 0.0 for every other feature, whose prefixes the
+    game values alike. The r+1 prefixes of a chunk of samples, a boolean
+    (c * (r+1), n) matrix within MASK_BUDGET_BYTES, are evaluated in one
+    batch, and the chunk's contributions are added in one step that still
+    sums them sample by sample, in the order they are drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     B = background_array(background)
-    evaluate = _as_game(value_fn, n, B).values
+    game = _as_game(value_fn, n, B)
+    played, r = np.isin(np.arange(n), game._played), len(game._played)
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
     base_sum = 0.0
-    prefix = np.arange(n + 1)[:, None]
-    step = chunk_size((n + 1) * n * 8)
+    prefix = np.arange(r + 1)[:, None]
+    step = chunk_size((r + 1) * n)
     for lo in range(0, n_samples, step):
         c = min(step, n_samples - lo)
         sigmas = np.empty((c, n), dtype=np.intp)
@@ -275,12 +278,17 @@ def permutation_shapley(
         for j in range(c):
             sigmas[j] = rng.permutation(n)
             index[j] = rng.integers(len(B))
-        # Prefix j of a permutation holds the features at positions below j.
-        pos = np.argsort(sigmas, axis=1)
-        visible = (prefix > pos[:, None, :]).reshape(c * (n + 1), n)
-        vals = evaluate(visible, np.repeat(index, n + 1)).reshape(c, n + 1)
+        # The played features in the order drawn; prefix j holds the first j of
+        # them, and a feature's rank is its place there (r for the unplayed).
+        walk = sigmas[played[sigmas]].reshape(c, r)
+        rank = np.full((c, n), r)
+        np.put_along_axis(rank, walk, np.arange(r), axis=1)
+        visible = (prefix > rank[:, None, :]).reshape(c * (r + 1), n)
+        del sigmas, rank  # not held while the prefixes are evaluated: lowers peak memory
+        vals = game.values(visible, np.repeat(index, r + 1)).reshape(c, r + 1)
         # Each sample's steps in feature order, added to the sums in the order drawn.
-        steps = np.take_along_axis(np.diff(vals, axis=1), pos, axis=1)
+        steps = np.zeros((c, n))
+        np.put_along_axis(steps, walk, np.diff(vals, axis=1), axis=1)
         contrib = np.add.accumulate(np.vstack([contrib, steps]))[-1]
         base_sum = float(np.add.accumulate(np.append(base_sum, vals[:, 0]))[-1])
     meta = estimator_meta("permutation", n_samples, len(B), seed)

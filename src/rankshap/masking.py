@@ -17,9 +17,11 @@ from .errors import CapacityError
 # coalition masks take 4 MiB and their values 8 MiB.
 EXACT_MAX_N = 20
 
-# Byte budget of one batch of masked rows. The batched game and the estimators
-# cut their coalition batches into chunks of at most this size. Of 256 to 768 KiB,
-# 512 KiB is the fastest for permutation sampling within +5% peak memory.
+# Byte budget of one batch: the masked float rows of the batched game, the
+# boolean (c * (r+1), n) prefix matrix of permutation sampling and the
+# comparisons of the pair-tau reduce are cut into chunks of at most this size.
+# Of 256 to 768 KiB, 512 KiB was the fastest for permutation sampling within +5%
+# peak memory, when its chunk still counted 8 bytes per boolean.
 MASK_BUDGET_BYTES = 512 * 1024
 
 

@@ -279,21 +279,16 @@ class CoalitionGame:
     def values(self, visible: np.ndarray, index: np.ndarray) -> np.ndarray:
         """v of k pairs: one coalition per row of the boolean `visible` (or one row for
         all k) and one index into the background per pair. Unless every column is played,
-        runs of consecutive pairs with one key (the prefixes of a permutation that add
-        unplayed features) collapse to their first pair; the run heads are keyed on their
-        packed played bits and distinct row, and `_values` evaluates each key once."""
+        the pairs are keyed on their packed played bits and distinct row, and `_values`
+        evaluates each key once."""
         inv = self._inverse[index]
         visible = np.broadcast_to(visible, (len(inv), self.n))
         if len(self._played) == self.n or len(inv) < 2:
             return self._values(visible[:, self._cols], self._distinct[inv])
         index_bytes = inv.astype(np.min_scalar_type(len(self._distinct)))[:, None].view(np.uint8)
         keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1), index_bytes])
-        run = np.append(True, (keys[1:] != keys[:-1]).any(axis=1))  # where a run starts
-        heads = np.flatnonzero(run)
-        first, inverse = first_rows(keys[heads])
-        first = heads[first]
-        vals = self._values(visible[first][:, self._cols], self._distinct[inv[first]])
-        return vals[inverse[np.cumsum(run) - 1]]
+        first, inverse = first_rows(keys)
+        return self._values(visible[first][:, self._cols], self._distinct[inv[first]])[inverse]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0

@@ -98,8 +98,8 @@ shapes = dict(
 @settings(max_examples=60, deadline=None)
 @given(n_samples=st.integers(1, 40), **shapes)
 # A budget below one permutation's n+1 prefixes, with a sample count that is
-# not a multiple of the sample chunk (3 samples at n=6).
-@example(n_samples=7, n=6, m=4, bsize=3, seed=5, interaction=True, budget=1100)
+# not a multiple of the sample chunk (3 samples of 7 prefixes of 6 bytes at n=6).
+@example(n_samples=7, n=6, m=4, bsize=3, seed=5, interaction=True, budget=150)
 @example(n_samples=7, n=6, m=4, bsize=3, seed=5, interaction=False, budget=1)
 def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, interaction, budget):
     game, background = make_game(n, m, bsize, seed, interaction)
@@ -110,6 +110,31 @@ def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, intera
     for attr in (batched, scalar):
         assert attr.values.tobytes() == values.tobytes()
         assert attr.base_value == base
+
+
+@pytest.mark.parametrize("budget", [1, None, 64 << 20], ids=["one-sample", "default", "64MiB"])
+def test_permutation_bytes_do_not_depend_on_the_chunk(budget):
+    # groundtruth-perm's shape: 46 features, 23 of them read, 20 documents and
+    # 10 background rows. A chunk holds the (r+1, n) boolean prefixes of
+    # MASK_BUDGET_BYTES // (24 * 46) = 474 samples by default, so 500 samples
+    # are a full chunk and part of one; its steps are added in the order drawn
+    # whatever the chunk, one sample or all of them.
+    rng = np.random.default_rng(4)
+    n, m, n_samples = 46, 20, 500
+    w = rng.normal(size=n)
+    w[rng.permutation(n)[:n // 2]] = 0.0
+    group, scorer, B = make_group(rng.random((m, n))), LinearScorer(w), rng.random((10, n))
+    game = ListwiseGame(group, scorer, KendallTauObjective(reference_ranking(group, scorer)), B)
+    expected = permutation_shapley(game.value, n, B, n_samples, 3)
+    budget = masking.MASK_BUDGET_BYTES if budget is None else budget
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
+        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
+    ) as values:
+        attr = permutation_shapley(game.value, n, B, n_samples, 3)
+    assert_same(attr, expected)
+    chunk = max(1, budget // (24 * n))
+    assert values.call_count == math.ceil(n_samples / chunk)
+    assert len(values.call_args_list[0].args[1]) == min(chunk, n_samples) * 24  # prefixes
 
 
 @settings(max_examples=40, deadline=None)

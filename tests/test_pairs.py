@@ -160,7 +160,7 @@ def test_copy_and_scatter_masks_the_bytes_of_np_where(data, n, m, k, budget):
 
 def test_permutation_sampling_holds_no_copy_of_its_rows():
     # groundtruth-perm's shape: 46 features, half of them unread, 20 documents
-    # and 10 background rows; 60 samples are two chunks of 30 permutations.
+    # and 10 background rows; 60 samples are one chunk of 24 prefixes each.
     rng = np.random.default_rng(0)
     n, m = 46, 20
     w = rng.normal(size=n)
@@ -174,6 +174,6 @@ def test_permutation_sampling_holds_no_copy_of_its_rows():
     finally:
         tracemalloc.stop()
     # One chunk of masked rows (up to MASK_BUDGET_BYTES), its inputs and the
-    # reduce fit in twice the budget; a (30 * 47, 46) float copy of the
-    # sampled rows, 519 KB per chunk, on top of them does not.
+    # reduce fit in twice the budget; a (60 * 24, 46) float copy of the
+    # sampled rows, 530 KB, on top of them does not.
     assert peak < 2 * masking.MASK_BUDGET_BYTES
