@@ -148,7 +148,7 @@ class Attribution:
 
 
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
-ValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ValuesFn = Callable[..., np.ndarray]
 
 
 def shapley_weight(n: int, s: int) -> float:
@@ -184,9 +184,9 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 
 class _GameOver(CoalitionGame):
     """A game over a given background whose `_values` is the given `values(visible,
-    rows)`; each coalition mean, in `means` or `table()`, is one `mean_value_fn(S)`
-    call instead, unless that is None. Given the `game` whose `_values` that is, it
-    plays the columns that game's scorer reads."""
+    rows, index=None)`; each coalition mean, in `means` or `table()`, is one
+    `mean_value_fn(S)` call instead, unless that is None. Given the `game` whose
+    `_values` that is, it plays the columns that game's scorer reads."""
 
     def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn,
                  game: CoalitionGame | None = None):
@@ -216,7 +216,8 @@ def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> Co
             return game
         return _GameOver(n, B, game._values, None, game)
 
-    def values(visible, rows):
+    def values(visible, rows, index=None):
+        rows = rows if index is None else rows[index]
         return np.array([value_fn(_members(v), b) for v, b in zip(visible, rows)])
 
     return _GameOver(n, B, values, mean_value_fn)
@@ -256,10 +257,10 @@ def permutation_shapley(
     permutation once, so it yields a marginal contribution for every feature.
     The walk visits only the r features the game plays: r+1 value evaluations
     per sample, and the step 0.0 for every other feature, whose prefixes the
-    game values alike. The r+1 prefixes of a chunk of samples, a boolean
-    (c * (r+1), n) matrix within MASK_BUDGET_BYTES, are evaluated in one
-    batch, and the chunk's contributions are added in one step that still
-    sums them sample by sample, in the order they are drawn.
+    game values alike. The r+1 prefixes of a chunk of samples, whose arrays
+    fit in MASK_BUDGET_BYTES, are evaluated in one batch, and the chunk's
+    contributions are added in one step that still sums them sample by
+    sample, in the order they are drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -270,7 +271,10 @@ def permutation_shapley(
     contrib = np.zeros(n)
     base_sum = 0.0
     prefix = np.arange(r + 1)[:, None]
-    step = chunk_size((r + 1) * n)
+    # A sample holds its r+1 boolean prefixes of n, their copies on the played
+    # columns and about eight 8-byte indices each while `values` keys them, and
+    # five 8-byte rows of n: its permutation, ranks, steps and running sums.
+    step = chunk_size((r + 1) * (2 * n + 2 * r + 64) + 5 * 8 * n)
     for lo in range(0, n_samples, step):
         c = min(step, n_samples - lo)
         sigmas = np.empty((c, n), dtype=np.intp)

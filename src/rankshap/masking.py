@@ -18,10 +18,10 @@ from .errors import CapacityError
 EXACT_MAX_N = 20
 
 # Byte budget of one batch: the masked float rows of the batched game, the
-# boolean (c * (r+1), n) prefix matrix of permutation sampling and the
+# prefixes of permutation sampling with the indices that key them, and the
 # comparisons of the pair-tau reduce are cut into chunks of at most this size.
 # Of 256 to 768 KiB, 512 KiB was the fastest for permutation sampling within +5%
-# peak memory, when its chunk still counted 8 bytes per boolean.
+# peak memory, when its chunk still counted 8 bytes per prefix entry.
 MASK_BUDGET_BYTES = 512 * 1024
 
 

@@ -252,24 +252,28 @@ class CoalitionGame:
             self._cols = self._played
         self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
 
-    def _values(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """v of k coalitions, one per row of the boolean `visible`, and of the background
-        `rows`, both on the columns `_cols`: `X` masked by each pair, scored and reduced.
-        A chunk holds whole batches of the distinct background rows within
-        MASK_BUDGET_BYTES of masked rows, and at least one; one score call each."""
+    def _values(self, visible: np.ndarray, rows: np.ndarray,
+                index: np.ndarray | None = None) -> np.ndarray:
+        """v of k coalitions, one per row of the boolean `visible`, and of k background
+        rows, `rows` or, given `index`, `rows[index]`, both on the columns `_cols`: `X`
+        masked by each pair, scored and reduced. A chunk holds whole batches of the
+        distinct background rows within MASK_BUDGET_BYTES of masked rows, and at least
+        one; one score call each. The hidden entries are read from `rows` in place, so
+        no background row is copied per pair."""
         m, n = self._X.shape
         step = chunk_size(m * n * 8, len(self._distinct))
-        out = np.empty(len(rows))
-        for lo in range(0, len(rows), step):
-            vis, B = visible[lo:lo + step], rows[lo:lo + step]
-            # (c, m, n): a copy of X per pair, with the pair's hidden background
-            # entries scattered into every row of X alike.
-            masked = np.repeat(self._X[None], len(B), axis=0)
+        out = np.empty(len(rows) if index is None else len(index))
+        for lo in range(0, len(out), step):
+            vis = visible[lo:lo + step]
+            k = len(vis)
+            # (k, m, n): a copy of X per pair, with the pair's hidden background
+            # entries, read from `rows` in place, scattered into every row of X alike.
+            masked = np.repeat(self._X[None], k, axis=0)
             c, j = np.nonzero(~vis)
-            masked[c, :, j] = B[c, j, None]
-            scores = self.scorer.score_batch(masked.reshape(len(B) * m, n))
+            masked[c, :, j] = rows[lo + c if index is None else index[lo + c], j, None]
+            scores = self.scorer.score_batch(masked.reshape(k * m, n))
             del masked  # before the reduce and the next chunk's copy: lowers peak memory
-            out[lo:lo + len(B)] = self._reduce(scores.reshape(len(B), m))
+            out[lo:lo + k] = self._reduce(scores.reshape(k, m))
         return out
 
     def _reduce(self, scores: np.ndarray) -> np.ndarray:
@@ -280,15 +284,16 @@ class CoalitionGame:
         """v of k pairs: one coalition per row of the boolean `visible` (or one row for
         all k) and one index into the background per pair. Unless every column is played,
         the pairs are keyed on their packed played bits and distinct row, and `_values`
-        evaluates each key once."""
+        evaluates each key once. `_values` reads the distinct rows by index, so no float
+        row is copied per pair."""
         inv = self._inverse[index]
         visible = np.broadcast_to(visible, (len(inv), self.n))
         if len(self._played) == self.n or len(inv) < 2:
-            return self._values(visible[:, self._cols], self._distinct[inv])
+            return self._values(visible[:, self._cols], self._distinct, inv)
         index_bytes = inv.astype(np.min_scalar_type(len(self._distinct)))[:, None].view(np.uint8)
         keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1), index_bytes])
         first, inverse = first_rows(keys)
-        return self._values(visible[first][:, self._cols], self._distinct[inv[first]])[inverse]
+        return self._values(visible[first][:, self._cols], self._distinct, inv[first])[inverse]
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0

@@ -115,10 +115,10 @@ def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, intera
 @pytest.mark.parametrize("budget", [1, None, 64 << 20], ids=["one-sample", "default", "64MiB"])
 def test_permutation_bytes_do_not_depend_on_the_chunk(budget):
     # groundtruth-perm's shape: 46 features, 23 of them read, 20 documents and
-    # 10 background rows. A chunk holds the (r+1, n) boolean prefixes of
-    # MASK_BUDGET_BYTES // (24 * 46) = 474 samples by default, so 500 samples
-    # are a full chunk and part of one; its steps are added in the order drawn
-    # whatever the chunk, one sample or all of them.
+    # 10 background rows. By default a chunk holds the 24 prefixes of 78
+    # samples and their bookkeeping, so 500 samples are six full chunks and
+    # part of one; its steps are added in the order drawn whatever the chunk,
+    # one sample or all of them.
     rng = np.random.default_rng(4)
     n, m, n_samples = 46, 20, 500
     w = rng.normal(size=n)
@@ -132,9 +132,9 @@ def test_permutation_bytes_do_not_depend_on_the_chunk(budget):
     ) as values:
         attr = permutation_shapley(game.value, n, B, n_samples, 3)
     assert_same(attr, expected)
-    chunk = max(1, budget // (24 * n))
+    chunk = {1: 1, 64 << 20: n_samples}.get(budget, 78)
     assert values.call_count == math.ceil(n_samples / chunk)
-    assert len(values.call_args_list[0].args[1]) == min(chunk, n_samples) * 24  # prefixes
+    assert len(values.call_args_list[0].args[1]) == chunk * 24  # prefixes
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -176,4 +177,26 @@ def test_permutation_sampling_holds_no_copy_of_its_rows():
     # One chunk of masked rows (up to MASK_BUDGET_BYTES), its inputs and the
     # reduce fit in twice the budget; a (60 * 24, 46) float copy of the
     # sampled rows, 530 KB, on top of them does not.
+    assert peak < 2 * masking.MASK_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("read", [0, 23, 46], ids=["none-read", "half-read", "all-read"])
+def test_permutation_sampling_peak_stays_within_twice_the_budget(read):
+    # groundtruth-perm's shape with none, half or all of its 46 features read,
+    # at 3,000 samples, many chunks of permutations. A chunk's prefixes, their
+    # keys and its rows of n fit in the budget, and so do the masked rows of
+    # `_values`, which reads background entries in place; nothing grows with
+    # the samples.
+    rng = np.random.default_rng(0)
+    n, m = 46, 20
+    w = rng.normal(size=n)
+    w[rng.permutation(n)[:n - read]] = 0.0
+    group, scorer, B = make_group(rng.random((m, n))), LinearScorer(w), rng.random((10, n))
+    game = ListwiseGame(group, scorer, KendallTauObjective(reference_ranking(group, scorer)), B)
+    tracemalloc.start()
+    try:
+        permutation_shapley(game.value, n, B, 3000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 2 * masking.MASK_BUDGET_BYTES

@@ -252,8 +252,8 @@ def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, point
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(1, 6),
-    m=st.integers(2, 5),
+    n=st.integers(1, 10),
+    m=st.integers(2, 6),
     bsize=st.integers(1, 4),
     seed=st.integers(0, 2**16),
     zeros=st.sampled_from(["none", "some", "all"]),
@@ -270,6 +270,11 @@ def test_games_score_the_read_columns_only_for_a_scorer_that_opts_in(kind, point
          interaction=False, pointwise=False, n_samples=5, budget=1)
 @example(n=5, m=4, bsize=3, seed=1, zeros="some", twins=True, signed_zeros=True,
          interaction=False, pointwise=True, n_samples=12, budget=200)
+# The widest games: every feature read, and some of ten unread.
+@example(n=10, m=6, bsize=4, seed=0, zeros="none", twins=False, signed_zeros=True,
+         interaction=False, pointwise=False, n_samples=7, budget=masking.MASK_BUDGET_BYTES)
+@example(n=10, m=6, bsize=4, seed=1, zeros="some", twins=False, signed_zeros=True,
+         interaction=False, pointwise=True, n_samples=30, budget=masking.MASK_BUDGET_BYTES)
 def test_permutation_matches_the_walk_one_prefix_at_a_time(n, m, bsize, seed, zeros, twins,
                                                             signed_zeros, interaction, pointwise,
                                                             n_samples, budget):
@@ -288,52 +293,9 @@ def test_permutation_matches_the_walk_one_prefix_at_a_time(n, m, bsize, seed, ze
     values, base = oracles.permutation_walk(game.value, n, B, n_samples, seed)
     assert attr.values.tobytes() == values.tobytes()
     assert np.float64(attr.base_value).tobytes() == np.float64(base).tobytes()
-
-
-class ReadsAll(LinearScorer):
-    """A linear scorer that names every column as read, so that its games walk
-    all n features of a permutation."""
-
-    def reads(self, n):
-        return np.arange(n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 10),
-    m=st.integers(2, 6),
-    bsize=st.integers(1, 4),
-    seed=st.integers(0, 2**16),
-    zeros=st.sampled_from(["none", "some", "all"]),
-    signed_zeros=st.booleans(),
-    pointwise=st.booleans(),
-    n_samples=st.integers(1, 40),
-)
-@example(n=10, m=6, bsize=4, seed=0, zeros="all", signed_zeros=True, pointwise=False,
-         n_samples=7)
-@example(n=10, m=6, bsize=4, seed=1, zeros="some", signed_zeros=True, pointwise=True,
-         n_samples=33)
-def test_permutation_walks_the_played_features_alone(n, m, bsize, seed, zeros, signed_zeros,
-                                                     pointwise, n_samples):
-    # A walk over the r played features of each permutation gives the bytes of
-    # the walk over all n, for r = 0, 0 < r < n and r = n, and the step +0.0,
-    # never -0.0, to each of the others.
-    group, scorer, B = instance(n, m, bsize, seed, zeros, False, signed_zeros, LinearScorer)
-    attrs = []
-    for kind in (LinearScorer, ReadsAll):
-        played = kind(scorer.weights)
-        if pointwise:
-            game = _PointwiseGame(group.documents[0].features, played, B)
-        else:
-            game = ListwiseGame(group, played, KendallTauObjective(
-                reference_ranking(group, played)), B)
-        attrs.append(permutation_shapley(game.value, n, B, n_samples, seed))
-    walked, full = attrs
-    assert walked.values.tobytes() == full.values.tobytes()
-    assert np.float64(walked.base_value).tobytes() == np.float64(full.base_value).tobytes()
-    unread = scorer.weights == 0
-    assert (walked.values[unread] == 0.0).all()
-    assert not np.signbit(walked.values[unread]).any()
+    # The walk skips the unread features, and each gets +0.0, never -0.0.
+    unread = np.setdiff1d(np.arange(n), scorer.reads(n))
+    assert (attr.values[unread] == 0.0).all() and not np.signbit(attr.values[unread]).any()
 
 
 @pytest.mark.parametrize("pointwise", [False, True])
