@@ -6,13 +6,13 @@ set are always full means, so the exact estimator is deterministic.
 
 Each estimator plays the `CoalitionGame` that `_as_game` makes of its
 arguments: exact enumeration reads its `table()`, the kernel its `means` and
-permutation sampling its batched `values`, one background index per prefix.
+permutation sampling its `walk_values`, one background index per walk.
 When `value_fn` is a game's bound `value` and no `mean_value_fn` is given,
 that is the game itself on its own background, whose table is kept, and
-otherwise a game over the given background that masks through the bound
-game's `_values`. Any other `value_fn` is lifted one coalition and row at a
-time, and a `mean_value_fn(S)` given to the exact or kernel estimator is
-called once per coalition instead.
+otherwise that game's scorer, rows and reduce over the given background.
+Any other `value_fn` is lifted one coalition and row at a time, and a
+`mean_value_fn(S)` given to the exact or kernel estimator is called once per
+coalition instead.
 """
 
 from __future__ import annotations
@@ -184,18 +184,22 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 
 class _GameOver(CoalitionGame):
     """A game over a given background whose `_values` is the given `values(visible,
-    rows, index=None)`; each coalition mean, in `means` or `table()`, is one
-    `mean_value_fn(S)` call instead, unless that is None. Given the `game` whose
-    `_values` that is, it plays the columns that game's scorer reads."""
+    rows, index=None)`; it has no scored rows, so it walks through `_values` one
+    depth at a time. Each coalition mean, in `means` or `table()`, is one
+    `mean_value_fn(S)` call instead, unless that is None."""
 
-    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn,
-                 game: CoalitionGame | None = None):
-        if game is None:
-            super().__init__(n, B)
-        else:
-            super().__init__(n, B, game.scorer, game.X)
+    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
+        super().__init__(n, B)
         self._values = values
         self._mean_value_fn = mean_value_fn
+
+    def walk_values(self, walk: np.ndarray, index: np.ndarray) -> np.ndarray:
+        (c, r), inv = walk.shape, self._inverse[index]
+        visible, out = np.zeros((c, self.n), dtype=bool), np.empty((c, r + 1))
+        for j in range(r + 1):  # prefix j shows the first j features of each walk
+            visible[np.arange(c)[:, None], walk[:, :j]] = True
+            out[:, j] = self._values(visible, self._distinct, inv)
+        return out
 
     def _grid_means(self, visible: np.ndarray) -> np.ndarray:
         if self._mean_value_fn is None:
@@ -205,16 +209,18 @@ class _GameOver(CoalitionGame):
 
 def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> CoalitionGame:
     """Without a `mean_value_fn`, the game whose bound `value` is `value_fn` when
-    B has that game's background bytes, or a game over B that masks its rows
-    through that game's `_values`; otherwise a game over B that evaluates
-    `value_fn` one coalition and row at a time, or `mean_value_fn` once per
-    coalition for its means."""
+    B has that game's background bytes, or that game's scorer, rows and `_reduce`
+    played over B; otherwise a game over B that evaluates `value_fn` one
+    coalition and row at a time, or `mean_value_fn` once per coalition for its
+    means."""
     game = getattr(value_fn, "__self__", None)
     if mean_value_fn is None and isinstance(game, CoalitionGame) and value_fn == game.value:
         if (game.n == n and B.shape == game.background.shape
                 and B.tobytes() == game.background.tobytes()):
             return game
-        return _GameOver(n, B, game._values, None, game)
+        over = CoalitionGame(n, B, game.scorer, game.X)
+        over._reduce = game._reduce
+        return over
 
     def values(visible, rows, index=None):
         rows = rows if index is None else rows[index]
@@ -257,10 +263,10 @@ def permutation_shapley(
     permutation once, so it yields a marginal contribution for every feature.
     The walk visits only the r features the game plays: r+1 value evaluations
     per sample, and the step 0.0 for every other feature, whose prefixes the
-    game values alike. The r+1 prefixes of a chunk of samples, whose arrays
-    fit in MASK_BUDGET_BYTES, are evaluated in one batch, and the chunk's
-    contributions are added in one step that still sums them sample by
-    sample, in the order they are drawn.
+    game values alike. The walks of a chunk of samples, whose masked rows and
+    arrays fit in MASK_BUDGET_BYTES, are evaluated in one `walk_values` call,
+    and the chunk's contributions are added in one step that still sums them
+    sample by sample, in the order they are drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -270,26 +276,22 @@ def permutation_shapley(
     rng = np.random.default_rng(seed)
     contrib = np.zeros(n)
     base_sum = 0.0
-    prefix = np.arange(r + 1)[:, None]
-    # A sample holds its r+1 boolean prefixes of n, their copies on the played
-    # columns and about eight 8-byte indices each while `values` keys them, and
-    # five 8-byte rows of n: its permutation, ranks, steps and running sums.
-    step = chunk_size((r + 1) * (2 * n + 2 * r + 64) + 5 * 8 * n)
+    # A sample holds its masked rows (m documents, r played columns) and one
+    # depth's scores of them, four 8-byte rows of n (its permutation, steps and
+    # running sums) and four 8-byte entries per depth (walk, column, value, key).
+    m = 0 if game.X is None else len(game.X)
+    step = chunk_size(8 * m * (r + 1) + 32 * n + 32 * (r + 1))
     for lo in range(0, n_samples, step):
         c = min(step, n_samples - lo)
-        sigmas = np.empty((c, n), dtype=np.intp)
+        sigmas = np.tile(np.arange(n), (c, 1))
         index = np.empty(c, dtype=np.intp)
         for j in range(c):
-            sigmas[j] = rng.permutation(n)
+            rng.shuffle(sigmas[j])  # as rng.permutation(n) draws it
             index[j] = rng.integers(len(B))
-        # The played features in the order drawn; prefix j holds the first j of
-        # them, and a feature's rank is its place there (r for the unplayed).
+        # The played features in the order drawn.
         walk = sigmas[played[sigmas]].reshape(c, r)
-        rank = np.full((c, n), r)
-        np.put_along_axis(rank, walk, np.arange(r), axis=1)
-        visible = (prefix > rank[:, None, :]).reshape(c * (r + 1), n)
-        del sigmas, rank  # not held while the prefixes are evaluated: lowers peak memory
-        vals = game.values(visible, np.repeat(index, r + 1)).reshape(c, r + 1)
+        del sigmas  # not held while the walks are evaluated: lowers peak memory
+        vals = game.walk_values(walk, index)
         # Each sample's steps in feature order, added to the sums in the order drawn.
         steps = np.zeros((c, n))
         np.put_along_axis(steps, walk, np.diff(vals, axis=1), axis=1)

@@ -17,11 +17,12 @@ from .errors import CapacityError
 # coalition masks take 4 MiB and their values 8 MiB.
 EXACT_MAX_N = 20
 
-# Byte budget of one batch: the masked float rows of the batched game, the
-# prefixes of permutation sampling with the indices that key them, and the
-# comparisons of the pair-tau reduce are cut into chunks of at most this size.
-# Of 256 to 768 KiB, 512 KiB was the fastest for permutation sampling within +5%
-# peak memory, when its chunk still counted 8 bytes per prefix entry.
+# Byte budget of one batch: the masked float rows of the batched game with the
+# indices of their hidden entries, the masked walks of permutation sampling with
+# their per-sample arrays, and the comparisons of the pair-tau reduce are cut
+# into chunks of at most this size. Of 256 to 768 KiB, 512 KiB was the fastest
+# for permutation sampling within +5% peak memory, when its chunk still counted
+# 8 bytes per prefix entry of its boolean coalitions.
 MASK_BUDGET_BYTES = 512 * 1024
 
 

@@ -7,6 +7,7 @@ the reference permutation, so attribution signs are comparable across them.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -98,11 +99,13 @@ class _PairTauObjective(ListwiseObjective):
         a = np.empty((k, m), dtype=self._rank_values.dtype)
         a[np.arange(k)[:, None], self._ref_pos[perms]] = self._rank_values
         discordant = np.empty(k, dtype=np.int64)
-        # Chunks of (rows, m, m) comparisons within MASK_BUDGET_BYTES, or one list.
+        # Chunks of (rows, m, m) comparisons within MASK_BUDGET_BYTES, or one list, in one
+        # buffer: glibc may return a new one per chunk to the system, to fault in again.
         step = chunk_size(m * m)
+        buffer = np.empty((min(step, k), m, m), dtype=bool)
         for lo in range(0, k, step):
             rows = a[lo:lo + step]
-            worse = rows[:, :, None] > rows[:, None, :]
+            worse = np.greater(rows[:, :, None], rows[:, None, :], out=buffer[:len(rows)])
             worse &= self._pairs
             discordant[lo:lo + step] = worse.reshape(len(rows), -1).sum(1, self._count_dtype)
         return discordant
@@ -207,21 +210,20 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
 
 
 class CoalitionGame:
-    """Coalition game v(S, b) over a background, evaluated in batches by `values`.
+    """Coalition game v(S, b) over a background, evaluated in batches.
 
     `_values` masks the scored rows `X` with background rows, scores them and
     reduces each coalition's scores with the `_reduce` a subclass implements:
     one value per (coalition, row) pair. `_grid_means` averages it over the
     background, evaluating each distinct row once per coalition; `means` (and
-    `mean_value`, a one-coalition `means`) and `table` call it. `values` takes
-    background indices, and `value` one coalition and any row. Once `table` has
-    evaluated every coalition, `means` reads it.
+    `mean_value`, a one-coalition `means`) and `table` call it. `walk_values`
+    evaluates the prefixes of walks, and `value` one coalition and any row.
+    Once `table` has evaluated every coalition, `means` reads it.
 
     Given the `scorer` and the rows it scores, the game plays only the columns
-    in `scorer.reads(n)`: it keys background rows, coalitions and (coalition,
-    row) pairs on them, evaluates one of each key and, unless the scorer reads
-    every column, gives it those columns alone. Every output keeps the bytes of
-    the full game.
+    in `scorer.reads(n)`: it keys background rows and coalitions on them,
+    evaluates one of each key and, unless the scorer reads every column, gives
+    it those columns alone. Every output keeps the bytes of the full game.
     """
 
     def __init__(self, n: int, background: BackgroundSet | np.ndarray,
@@ -246,8 +248,6 @@ class CoalitionGame:
             raise ValueError(f"scorer {scorer.name}: reads({n}) must be strictly increasing"
                              f" feature indices in [0, {n}), got {reads.tolist()}")
         self._played = reads.astype(np.intp)  # np.asarray([]) is float
-        # Padded to whole bytes with the last: one flat np.packbits then packs each row.
-        self._packed = np.pad(self._played, (0, -len(self._played) % 8), mode="edge")
         if len(self._played) < n:  # `_values` gets those columns alone
             self._cols = self._played
         self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
@@ -257,11 +257,11 @@ class CoalitionGame:
         """v of k coalitions, one per row of the boolean `visible`, and of k background
         rows, `rows` or, given `index`, `rows[index]`, both on the columns `_cols`: `X`
         masked by each pair, scored and reduced. A chunk holds whole batches of the
-        distinct background rows within MASK_BUDGET_BYTES of masked rows, and at least
-        one; one score call each. The hidden entries are read from `rows` in place, so
-        no background row is copied per pair."""
+        distinct background rows within MASK_BUDGET_BYTES of masked rows and hidden
+        entries with their indices, and at least one batch; one score call each. The
+        hidden entries are read from `rows` in place, so no row is copied per pair."""
         m, n = self._X.shape
-        step = chunk_size(m * n * 8, len(self._distinct))
+        step = chunk_size(m * n * 8 + 24 * n, len(self._distinct))
         out = np.empty(len(rows) if index is None else len(index))
         for lo in range(0, len(out), step):
             vis = visible[lo:lo + step]
@@ -280,20 +280,27 @@ class CoalitionGame:
         """Values of a (c, m) score matrix, one per row; subclasses implement it."""
         raise NotImplementedError
 
-    def values(self, visible: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """v of k pairs: one coalition per row of the boolean `visible` (or one row for
-        all k) and one index into the background per pair. Unless every column is played,
-        the pairs are keyed on their packed played bits and distinct row, and `_values`
-        evaluates each key once. `_values` reads the distinct rows by index, so no float
-        row is copied per pair."""
-        inv = self._inverse[index]
-        visible = np.broadcast_to(visible, (len(inv), self.n))
-        if len(self._played) == self.n or len(inv) < 2:
-            return self._values(visible[:, self._cols], self._distinct, inv)
-        index_bytes = inv.astype(np.min_scalar_type(len(self._distinct)))[:, None].view(np.uint8)
-        keys = np.hstack([np.packbits(visible[:, self._packed]).reshape(len(inv), -1), index_bytes])
-        first, inverse = first_rows(keys)
-        return self._values(visible[first][:, self._cols], self._distinct, inv[first])[inverse]
+    def walk_values(self, walk: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """v of the r+1 prefixes of c walks, (c, r+1): row s of the (c, r) `walk`
+        orders the played features and `index[s]` is its background index. A (c, m, r)
+        buffer starts as each walk's distinct row, prefix 0, and takes one column of
+        X per walk in place at each depth, where it is scored in one call. Where a
+        depth's comb(r, j) prefixes times the distinct rows are fewer than c, each
+        distinct list is scored once; at depth r every list is X."""
+        (c, r), m, inv = walk.shape, len(self._X), self._inverse[index]
+        masked = np.repeat(self._distinct[inv, None], m, axis=1)
+        cols = np.searchsorted(self._played, walk)  # each step's column of X
+        out = np.empty((c, r + 1))
+        for j in range(r + 1):
+            lists, pick = (self._X[None], 0) if j == r else (masked, slice(None))
+            if j < r and math.comb(r, j) * len(self._distinct) < c:  # lists repeat
+                first, pick = first_rows(np.column_stack([np.sort(cols[:, :j]), inv]))
+                lists = masked[first]
+            scores = self.scorer.score_batch(lists.reshape(len(lists) * m, r))
+            out[:, j] = self._reduce(scores.reshape(len(lists), m))[pick]
+            if j < r:
+                masked[np.arange(c), :, cols[:, j]] = self._X.T[cols[:, j]]
+        return out
 
     def _visible(self, visible) -> np.ndarray:
         return coalition_to_template(visible, self.n)[None, :] == 0
@@ -339,16 +346,16 @@ class CoalitionGame:
         return self._grid_means(visible[first])[inverse]
 
     def _grid_means(self, visible: np.ndarray) -> np.ndarray:
-        """Background means of coalitions that differ on the played columns,
-        tiled over the distinct background rows in chunks within
-        MASK_BUDGET_BYTES of rows and read back in background order."""
+        """Background means of coalitions that differ on the played columns, paired
+        with the index of each distinct background row in chunks of as many as their
+        rows would fill MASK_BUDGET_BYTES, and read back in background order."""
         k = len(self._distinct)
         out = np.empty(len(visible))
         step = chunk_size(self._distinct.nbytes)
         for lo in range(0, len(visible), step):
             vis = visible[lo:lo + step, self._cols]
             c = len(vis)
-            vals = self._values(np.repeat(vis, k, axis=0), np.tile(self._distinct, (c, 1)))
+            vals = self._values(np.repeat(vis, k, axis=0), self._distinct, np.arange(c * k) % k)
             # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
             # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
             # and sums in another order.

@@ -5,11 +5,13 @@
 OUT must be empty or absent. The script writes a seeded 10-feature LETOR
 file, which holds a single-document query, a second one in SVMLight-sparse
 form (keys out of order, zeros omitted, a last line short of 10 features),
-a sparse and a dense linear scorer, and a third file and scorer whose
-weights hold 0.0 and -0.0 on columns of nonnegative values and of both
-signs into OUT. It then runs `explain` (kernel, exact, permutation, and on
-the sparse file), `ground-truth` (with `--stability`, and over several
-permutation chunks of a background larger than the file's 16 documents),
+a sparse and a dense linear scorer, a scorer that reads 2 of the 10
+features, and a third file and scorer whose weights hold 0.0 and -0.0 on
+columns of nonnegative values and of both signs into OUT. It then runs
+`explain` (kernel, exact, permutation, and on the sparse file),
+`ground-truth` (with `--stability`, and over several permutation chunks of a
+background larger than the file's 16 documents, and of the 2-feature scorer,
+whose chunks score each distinct list once at both depths before the last),
 `evaluate` (exact and estimated ground truth, the exact and permutation
 estimators, the exact pointwise baseline, and saved attributions), exact
 `explain`, `evaluate` and exact pointwise `evaluate` on the third pair, and
@@ -69,6 +71,9 @@ def write_inputs() -> None:
     signed = dense.copy()
     signed[[2, 5, 8]] = [-0.0, 0.0, 0.0]
     Path("signed.json").write_text(json.dumps({"kind": "linear", "weights": signed.tolist()}))
+    two = np.zeros(N_FEATURES)
+    two[[0, 3]] = dense[[0, 3]]
+    Path("two.json").write_text(json.dumps({"kind": "linear", "weights": two.tolist()}))
     lines = []
     for qid, docs in (("p", 6), ("q", 5)):
         for _ in range(docs):
@@ -112,6 +117,11 @@ def commands() -> list[list[str]]:
              "--pred", out + "explain-kernel/query_a.csv", out + "ground-truth/gt_a.csv",
              "--out", out + "evaluate-files.csv"],
         ]
+    # 2 of 10 features read: about 900 samples per chunk, so 3,000 samples take
+    # four chunks, each with far more walks than its (prefix, row) lists.
+    runs.append(["ground-truth", "--data", "data.txt", "--scorer", "two.json", "--seed", "3",
+                 "--nsamples", "3000", "--runs", "2", "--background", "8",
+                 "--out", "two/ground-truth-chunks"])
     signed = ["--data", "signed.txt", "--scorer", "signed.json", "--seed", "3"]
     runs += [
         ["explain", *signed, "--estimator", "exact", "--background", "8",

@@ -2,11 +2,12 @@
 objectives, the kernel SHAP coalition draw, greedy selection, the
 talent-search model and the pointwise baseline.
 
-The package computes the listwise game only in batches (`ListwiseGame.values`
-and the objective classes' `evaluate_many`), background means over the
-distinct background rows only, the kernel design as boolean rows merged by
-`masking.first_rows` (`attribution._kernel_design`), permutation sampling a
-chunk of prefixes per `values` call and one accumulation per chunk
+The package computes the listwise game only in batches (`ListwiseGame._values`,
+`ListwiseGame.walk_values` and the objective classes' `evaluate_many`),
+background means over the distinct background rows only, the kernel design
+as boolean rows merged by `masking.first_rows` (`attribution._kernel_design`),
+permutation sampling one depth of a chunk of walks per scorer call, in one
+buffer masked in place, and one accumulation per chunk
 (`attribution.permutation_shapley`), greedy selection one batch of
 candidates per step (`baselines.greedy_select`), the talent model only in
 `TalentScorer.score_batch`, and the pointwise baseline as one game on the

@@ -2,16 +2,17 @@
 
 Every estimator plays the `CoalitionGame` that `attribution._as_game` makes
 of its arguments: the game itself when `value_fn` is its bound `value` on its
-own background, else a game that masks through the bound game's `_values`
-or lifts any other value function one coalition at a time, and whose means
-body calls a given `mean_value_fn` once per coalition. `values` evaluates
-many coalitions per scorer call through the one masking body that the
-listwise and the pointwise game share, cut into chunks of whole background
-batches within MASK_BUDGET_BYTES. The exact and permutation estimators fed by `game.value`
+own background, else that game's scorer, rows and reduce over the given
+background, or a game that lifts any other value function one coalition at a
+time, and whose means body calls a given `mean_value_fn` once per coalition.
+`_values` evaluates many coalitions per scorer call through the one masking
+body that the listwise and the pointwise game share, cut into chunks of whole
+background batches within MASK_BUDGET_BYTES, and `walk_values` evaluates one
+depth of many permutation walks per scorer call. The exact and permutation estimators fed by `game.value`
 must match, bit for bit, the same estimators fed by a wrapper of
 `game.value` or by `game.mean_value`, for every chunking; so must the kernel
 estimator fed by `game.value`, and the pointwise kernel, which evaluates its
-coalitions through `_PointwiseGame.values`. Greedy selection, which
+coalitions through `_PointwiseGame._values`. Greedy selection, which
 evaluates each step's candidates in one `ListwiseGame.means` call, must walk
 as the one-coalition oracle does. Background means evaluate each distinct
 background row once; with repeated rows they must match a mean that
@@ -115,8 +116,8 @@ def test_permutation_batched_matches_scalar(n_samples, n, m, bsize, seed, intera
 @pytest.mark.parametrize("budget", [1, None, 64 << 20], ids=["one-sample", "default", "64MiB"])
 def test_permutation_bytes_do_not_depend_on_the_chunk(budget):
     # groundtruth-perm's shape: 46 features, 23 of them read, 20 documents and
-    # 10 background rows. By default a chunk holds the 24 prefixes of 78
-    # samples and their bookkeeping, so 500 samples are six full chunks and
+    # 10 background rows. By default a chunk holds the masked rows of 86
+    # samples and their bookkeeping, so 500 samples are five full chunks and
     # part of one; its steps are added in the order drawn whatever the chunk,
     # one sample or all of them.
     rng = np.random.default_rng(4)
@@ -128,13 +129,13 @@ def test_permutation_bytes_do_not_depend_on_the_chunk(budget):
     expected = permutation_shapley(game.value, n, B, n_samples, 3)
     budget = masking.MASK_BUDGET_BYTES if budget is None else budget
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        ListwiseGame, "values", autospec=True, side_effect=ListwiseGame.values
-    ) as values:
+        ListwiseGame, "walk_values", autospec=True, side_effect=ListwiseGame.walk_values
+    ) as walks:
         attr = permutation_shapley(game.value, n, B, n_samples, 3)
     assert_same(attr, expected)
-    chunk = {1: 1, 64 << 20: n_samples}.get(budget, 78)
-    assert values.call_count == math.ceil(n_samples / chunk)
-    assert len(values.call_args_list[0].args[1]) == chunk * 24  # prefixes
+    chunk = {1: 1, 64 << 20: n_samples}.get(budget, 86)
+    assert walks.call_count == math.ceil(n_samples / chunk)
+    assert walks.call_args_list[0].args[1].shape == (chunk, 23)  # walks of the read features
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,19 +177,19 @@ def test_kernel_value_fn_is_tiled_in_budget_chunks():
         ListwiseGame, "_values", autospec=True, side_effect=ListwiseGame._values
     ) as values:
         attr = kernel_shap(game.value, game.n, background, 40, 0)
-    rows_per_call = [len(call.args[2]) for call in values.call_args_list]
+    rows_per_call = [len(call.args[1]) for call in values.call_args_list]
     assert max(rows_per_call) == 3 * len(background.vectors)
     assert sum(rows_per_call) == attr.meta["coalitions_evaluated"] * len(background.vectors)
 
 
 class RoutedGame:
-    """A game with `values`, which only its bound `value` may be routed to."""
+    """A game with `walk_values`, which only its bound `value` may be routed to."""
 
     def value(self, visible, b):
         return float(len(visible))
 
-    def values(self, visible, rows):
-        raise AssertionError("a method other than value was routed to values")
+    def walk_values(self, walk, index):
+        raise AssertionError("a method other than value was routed to walk_values")
 
     def doubled(self, visible, b):
         return 2.0 * len(visible)
@@ -216,8 +217,10 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
     coalitions = 32 if kind == "exact" else lifted.meta.get("coalitions_evaluated")
     assert lifted_calls == (40 * 6 if kind == "permutation" else coalitions * 3)
     # Bound, all fit one chunk; the kernel evaluates the empty and full
-    # coalitions before its design.
-    assert bound_calls == (2 if kind == "kernel" else 1)
+    # coalitions before its design, and permutation sampling scores each depth
+    # of its walks over the r read features in one call.
+    r = len(game.scorer.reads(5))
+    assert bound_calls == {"kernel": 2, "permutation": r + 1}.get(kind, 1)
 
     if kind == "exact":
         # The game now holds its coalition table, and a rerun reads it.
@@ -236,7 +239,7 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
     with mock.patch.object(ListwiseGame, "value", traced):
         assert scorer_calls(fresh.value, on=fresh)[1] == bound_calls
 
-    # Any other bound method of a game that has `values` is lifted.
+    # Any other bound method of a game that has `walk_values` is lifted.
     additive = estimate(RoutedGame().doubled)
     np.testing.assert_allclose(additive.values, 2.0)
 
@@ -320,14 +323,15 @@ def test_values_chunks_whole_background_batches(pointwise):
     k = 7 * len(background.vectors)
     rng = np.random.default_rng(0)
     visible = rng.random((k, 4)) < 0.5
-    index = np.tile(np.arange(len(background.vectors)), 7)
-    whole = game.values(visible, index)
-    # Room for exactly 2 background batches (4 coalitions) per chunk.
-    budget = 4 * m * game.n * 8
+    index = game._inverse[np.tile(np.arange(len(background.vectors)), 7)]
+    whole = game._values(visible, game._distinct, index)
+    # Room for exactly 2 background batches (4 coalitions) per chunk: masked
+    # rows and the hidden entries with their indices.
+    budget = 4 * (m * game.n * 8 + 24 * game.n)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
         game.scorer, "score_batch", wraps=game.scorer.score_batch
     ) as score:
-        chunked = game.values(visible, index)
+        chunked = game._values(visible, game._distinct, index)
     assert [c.args[0].shape[0] for c in score.call_args_list] == [4 * m, 4 * m, 4 * m, 2 * m]
     assert chunked.tobytes() == whole.tobytes()
 

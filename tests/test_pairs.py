@@ -1,16 +1,19 @@
-"""The pair layer: `CoalitionGame.values(visible, index)` and its masking body.
+"""The pair layer: `CoalitionGame._values(visible, rows, index)`, its masking
+body, and the walks of permutation sampling, `CoalitionGame.walk_values`.
 
-`values` takes one coalition per pair (or one for all pairs) and one index
-into the game's own background per pair. It collapses runs of equal keys
-and keys the pairs on their packed played bits and distinct background row,
-and none of that may move a byte: each pair's value must equal the game
-evaluated on `background[index]` alone, by the scalar oracles. `_values`
-masks a chunk by copying `X` once per pair and scattering each pair's hidden
-background entries in; both steps are copies, so the masked rows must be
-the bytes of `np.where`, signed zeros, infinities and subnormals included.
-Permutation sampling passes indices, so it holds no copy of its sampled rows.
+`_values` takes one coalition and one index into the game's distinct
+background rows per pair: each pair's value must equal the game evaluated on
+`background[index]` alone, by the scalar oracles. It masks a chunk by copying
+`X` once per pair and scattering each pair's hidden background entries in;
+both steps are copies, so the masked rows must be the bytes of `np.where`,
+signed zeros, infinities and subnormals included. `walk_values` masks one
+buffer per chunk of walks, one column of `X` per walk and depth, and scores
+each distinct list once only at the depths where lists must repeat; none of
+that may move a byte of the walk one prefix at a time. Permutation sampling
+and background means pass indices, so they hold no copy of their rows.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -111,9 +114,9 @@ def test_values_are_each_pair_on_its_background_row(kind, listwise, n, m, bsize,
     visible, index = prefix_pairs(rng, n, walks, len(B))
     if shared:  # one coalition for every pair
         visible = visible[:1]
-    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        got = game.values(visible, index)
     visible = np.broadcast_to(visible, (len(index), n))
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        got = game._values(visible[:, game._cols], game._distinct, game._inverse[index])
     if listwise:
         expected = [oracles.value_function(group, scorer, objective, ~v, B[i])
                     for v, i in zip(visible, index)]
@@ -183,10 +186,9 @@ def test_permutation_sampling_holds_no_copy_of_its_rows():
 @pytest.mark.parametrize("read", [0, 23, 46], ids=["none-read", "half-read", "all-read"])
 def test_permutation_sampling_peak_stays_within_twice_the_budget(read):
     # groundtruth-perm's shape with none, half or all of its 46 features read,
-    # at 3,000 samples, many chunks of permutations. A chunk's prefixes, their
-    # keys and its rows of n fit in the budget, and so do the masked rows of
-    # `_values`, which reads background entries in place; nothing grows with
-    # the samples.
+    # at 3,000 samples, many chunks of permutations. A chunk's masked walks,
+    # one depth's scores and its rows of n fit in the budget; nothing grows
+    # with the samples.
     rng = np.random.default_rng(0)
     n, m = 46, 20
     w = rng.normal(size=n)
@@ -200,3 +202,121 @@ def test_permutation_sampling_peak_stays_within_twice_the_budget(read):
     finally:
         tracemalloc.stop()
     assert peak < 2 * masking.MASK_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("docs", [1, 2])
+def test_means_peak_stays_within_twice_the_budget(docs):
+    # One or two documents of 136 features, every one read: a pair's masked
+    # rows are no wider than the indices and entries of its hidden columns,
+    # which the budget counts too, and the means pass indices of the distinct
+    # background rows, not copies of them.
+    rng = np.random.default_rng(0)
+    n = 136
+    scorer = LinearScorer(rng.normal(size=n))
+    game = _PointwiseGame(rng.random((docs, n)), scorer, rng.random((30, n)))
+    visible = rng.random((300, n)) < 0.5
+    tracemalloc.start()
+    try:
+        game.means(visible)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * masking.MASK_BUDGET_BYTES
+
+
+def walk_instance(n, r, m, bsize, seed, pointwise):
+    """A group of m documents, a scorer that reads r of n features and sums from
+    -0.0, with 0.0 and -0.0 weights on the others, a background with repeated
+    rows and, when r > 0, a read column that holds 0.0 in every background row
+    but -0.0 in one, and the listwise game of them or the pointwise game of up
+    to 5 documents, whose scores numpy sums in the order the oracle adds them."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n)
+    w[rng.permutation(n)[r:]] = rng.choice([0.0, -0.0], size=n - r)
+    X = rng.normal(size=(m, n))
+    B = rng.normal(size=(bsize, n))[rng.integers(bsize, size=bsize + 3)]
+    if r:
+        c = rng.choice(np.flatnonzero(w))
+        B[:, c] = 0.0
+        B[rng.integers(len(B)), c] = -0.0
+    group, scorer = make_group(X), SignedLinear(w)
+    if pointwise:
+        return group, scorer, B, _PointwiseGame(X[:1 + seed % min(m, 5)], scorer, B)
+    objective = KendallTauObjective(reference_ranking(group, scorer))
+    return group, scorer, B, ListwiseGame(group, scorer, objective, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    reads=st.sampled_from(["none", "one", "two", "half", "all"]),
+    m=st.sampled_from([2, 5, 20]),
+    bsize=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    pointwise=st.booleans(),
+    walks=st.integers(1, 30),
+    n_samples=st.integers(1, 30),
+    budget=st.sampled_from([1, 3000, masking.MASK_BUDGET_BYTES]),
+)
+# Two read features over at most 4 distinct rows: 30 walks repeat lists at
+# depths 0 and 1, and a 1-byte budget makes one-sample chunks.
+@example(n=6, reads="two", m=5, bsize=4, seed=3, pointwise=False, walks=30, n_samples=30,
+         budget=1)
+@example(n=6, reads="two", m=2, bsize=2, seed=4, pointwise=True, walks=30, n_samples=30,
+         budget=masking.MASK_BUDGET_BYTES)
+def test_walks_give_the_bytes_of_the_walk_one_prefix_at_a_time(n, reads, m, bsize, seed,
+                                                               pointwise, walks, n_samples,
+                                                               budget):
+    r = min(n, {"none": 0, "one": 1, "two": 2, "half": n // 2, "all": n}[reads])
+    group, scorer, B, game = walk_instance(n, r, m, bsize, seed, pointwise)
+    rng = np.random.default_rng(seed + 1)
+    walk = np.array([rng.permutation(game._played) for _ in range(walks)]).reshape(walks, r)
+    index = rng.integers(len(B), size=walks)
+    got = game.walk_values(walk, index)
+
+    def value(visible, b):
+        if pointwise:
+            return oracles.pointwise_value(scorer, game.X, visible, b)
+        hidden = np.ones(n, dtype=bool)
+        hidden[visible] = False
+        return oracles.value_function(group, scorer, game.objective, hidden, b)
+
+    expected = [[value(w[:j], B[i]) for j in range(r + 1)] for w, i in zip(walk, index)]
+    assert got.tobytes() == np.array(expected).reshape(walks, r + 1).tobytes()
+    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
+        attr = permutation_shapley(game.value, n, B, n_samples, seed)
+    values, base = oracles.permutation_walk(game.value, n, B, n_samples, seed)
+    assert attr.values.tobytes() == values.tobytes()
+    assert np.float64(attr.base_value).tobytes() == np.float64(base).tobytes()
+
+
+@pytest.mark.parametrize("walks", [5, 20])
+def test_walks_score_each_distinct_list_once_where_lists_must_repeat(walks):
+    # 2 of 6 features read and 4 background rows, 3 of them distinct. Depth j
+    # of the walks is deduplicated where its comb(2, j) prefixes times the 3
+    # distinct rows are fewer than the walks: depth 0 of 5 or 20 walks and
+    # depth 1 of 20. There the scorer sees each distinct list once; elsewhere
+    # it sees one list per walk, and at depth 2 one list, X.
+    rng = np.random.default_rng(2)
+    n, m = 6, 4
+    w = np.zeros(n)
+    w[[1, 4]] = [1.0, -2.0]
+    scorer, group = LinearScorer(w), make_group(rng.random((m, n)))
+    B = rng.random((3, n))
+    B = np.vstack([B, B[:1]])
+    game = ListwiseGame(group, scorer, KendallTauObjective(reference_ranking(group, scorer)), B)
+    walk = np.array([rng.permutation([1, 4]) for _ in range(walks)])
+    index = rng.integers(len(B), size=walks)
+    with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
+        got = game.walk_values(walk, index)
+    lists = [np.array(c.args[0]).reshape(-1, m, 2) for c in score.call_args_list]
+    rows = game._inverse[index].tolist()
+    distinct = [len(set(rows)), len(set(zip(walk[:, 0].tolist(), rows)))]
+    deduplicated = [j for j in range(2) if math.comb(2, j) * 3 < walks]
+    assert deduplicated == ([0, 1] if walks == 20 else [0])
+    assert [len(b) for b in lists] == [distinct[j] if j in deduplicated else walks
+                                       for j in range(2)] + [1]
+    for j in deduplicated:
+        assert len({b.tobytes() for b in lists[j]}) == len(lists[j])
+    expected = [[game.value(w[:j], B[i]) for j in range(3)] for w, i in zip(walk, index)]
+    assert got.tobytes() == np.array(expected).tobytes()

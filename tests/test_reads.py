@@ -1,7 +1,7 @@
 """A scorer names the features it reads (`Scorer.reads`), and a game keys its
-background rows, its coalitions and its (coalition, row) pairs on those
-features and gives the scorer those columns alone, so that a feature no score
-reads costs no evaluation.
+background rows and its coalitions on those features, walks permutations over
+them alone and gives the scorer those columns alone, so that a feature no
+score reads costs no evaluation.
 
 Every output must keep the bytes of the full game, which a scorer that hides
 its `reads` plays, as a tracing wrapper that delegates only `score_batch`
@@ -17,6 +17,7 @@ from -0.0 and a scorer that is not linear; a scorer may name its reads as a
 Python list, `[]` for none.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -341,39 +342,29 @@ def test_null_features_cost_no_evaluation():
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
         game.table()
     assert sum(len(c.args[0]) for c in score.call_args_list) == 4 * 3 * m
-    # A permutation plays one list per prefix that changes the read features.
-    visible = np.tri(n + 1, n, -1, dtype=bool)  # prefixes 0..n of the identity order
+    # A permutation plays one list per depth of its walk over the read features.
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
-        game.values(visible, np.zeros(n + 1, dtype=int))
+        game.walk_values(np.array([[2, 5]]), np.zeros(1, dtype=int))
     assert sum(len(c.args[0]) for c in score.call_args_list) == 3 * m
-    # One call over permutations that share a read row evaluates one list per
-    # distinct (pattern, read row) key, not one per run: rows 0 and 3 differ
-    # only in an unread column, so the first three permutations meet 4 keys
-    # in 9 runs.
+    # Walks that share a read row: rows 0 and 3 differ only in an unread
+    # column, so the 4 walks have 2 distinct rows. Depth 0 scores those 2
+    # lists, since its 1 prefix times 3 distinct rows is fewer than 4 walks;
+    # depth 1, whose 2 prefixes times 3 rows are not, scores all 4; depth 2
+    # scores X once.
     sigmas = np.array([[2, 0, 5, 1, 3, 4, 6, 7], [5, 1, 0, 2, 3, 4, 6, 7],
                        [7, 6, 5, 4, 3, 2, 1, 0], [0, 2, 1, 3, 4, 5, 6, 7]])
-    pos = np.argsort(sigmas, axis=1)
-    visible = (np.arange(n + 1)[:, None] > pos[:, None, :]).reshape(-1, n)
-    index = np.repeat([0, 0, 3, 1], n + 1)
-    rows = B[index]
-    keys = {(tuple(v[[2, 5]]), tuple(r[[2, 5]])) for v, r in zip(visible, rows)}
-    assert len(keys) == 4 + 3  # 4 patterns of row 0, 3 prefixes of row 1
+    walk = sigmas[np.isin(sigmas, [2, 5])].reshape(4, 2)
+    index = np.array([0, 0, 3, 1])
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
-        got = game.values(visible, index)
-    assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
-    expected = [game.value(np.flatnonzero(v), r) for v, r in zip(visible, rows)]
+        got = game.walk_values(walk, index)
+    assert sum(len(c.args[0]) for c in score.call_args_list) == (2 + 4 + 1) * m
+    expected = [[game.value(w[:j], B[i]) for j in range(3)] for w, i in zip(walk, index)]
     assert got.tobytes() == np.array(expected).tobytes()
-    # The estimator plays that game itself: each key of a chunk once.
+    # The estimator plays that game itself, by the same rule.
     with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
         permutation_shapley(game.value, n, B, 4, 7)
-    rng = np.random.default_rng(7)
-    keys = set()
-    for _ in range(4):
-        sigma = rng.permutation(n)
-        b = B[rng.integers(len(B))]
-        keys |= {(frozenset(sigma[:j].tolist()) & {2, 5}, tuple(b[[2, 5]]))
-                 for j in range(n + 1)}
-    assert sum(len(c.args[0]) for c in score.call_args_list) == len(keys) * m
+    lists = walk_lists(game, n, 4, 7)
+    assert sum(len(c.args[0]) for c in score.call_args_list) == lists * m
     # A game plays the read columns alone, whatever the signs of the unread ones.
     x = group.documents[0].features
     mixed = np.vstack([B, -B[:1]])
@@ -382,10 +373,26 @@ def test_null_features_cost_no_evaluation():
     assert _PointwiseGame(x, scorer, mixed)._played.tolist() == [2, 5]
 
 
+def walk_lists(game, n, n_samples, seed):
+    """The lists that permutation sampling scores in one chunk of `n_samples`
+    walks over `game`'s played features: at depth j of r, one per distinct
+    (prefix, distinct row) where comb(r, j) times the distinct rows is fewer
+    than the walks, else one per walk, and one, X, at depth r."""
+    rng = np.random.default_rng(seed)
+    played = set(game._played.tolist())
+    walks, rows = [], []
+    for _ in range(n_samples):
+        walks.append([f for f in rng.permutation(n).tolist() if f in played])
+        rows.append(int(game._inverse[rng.integers(len(game._inverse))]))
+    r, k = len(played), len(game._distinct)
+    return 1 + sum(len({(frozenset(w[:j]), b) for w, b in zip(walks, rows)})
+                   if math.comb(r, j) * k < n_samples else n_samples for j in range(r))
+
+
 def test_permutation_over_another_background_keys_the_pairs():
-    # A bound game played over a background unlike its own keys its pairs on the
-    # columns that game would play over that background: it scores the rows of
-    # the same game built over it, and keeps the bytes of one prefix at a time.
+    # A bound game played over a background unlike its own plays the columns
+    # that game would play over that background: it scores the rows of the
+    # same game built over it, and keeps the bytes of one prefix at a time.
     rng = np.random.default_rng(5)
     n, m, n_samples = 8, 5, 30
     group = make_group(rng.random((m, n)))
@@ -396,20 +403,22 @@ def test_permutation_over_another_background_keys_the_pairs():
     game = ListwiseGame(group, scorer, objective, rng.random((4, n)))
     other = rng.random((6, n))
     values, base = oracles.permutation_walk(game.value, n, other, n_samples, 3)
-    rows = []
-    for played in (game, ListwiseGame(group, scorer, objective, other)):
+    rows, over = [], ListwiseGame(group, scorer, objective, other)
+    for played in (game, over):
         with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
             attr = permutation_shapley(played.value, n, other, n_samples, 3)
         rows.append(sum(len(c.args[0]) for c in score.call_args_list))
         assert attr.values.tobytes() == values.tobytes()
         assert np.float64(attr.base_value).tobytes() == np.float64(base).tobytes()
-    assert rows[0] == rows[1] < n_samples * (n + 1) * m
+    assert rows[0] == rows[1] == walk_lists(over, n, n_samples, 3) * m
+    assert rows[0] < n_samples * (n + 1) * m
 
 
 def test_values_evaluates_rows_unlike_its_own_in_full():
     # Background rows that differ only in an unread column, also in its sign or
-    # by an infinite value there, are keyed alike: one pair is scored, and it
-    # gives each row's own score, since no score reads that column.
+    # by an infinite value there, are keyed alike: the empty prefix of three
+    # walks over them scores one list, and it gives each row's own score, since
+    # no score reads that column.
     for kind in (SignedLinear, LinearScorer):
         rng = np.random.default_rng(1)
         n = 4
@@ -423,7 +432,7 @@ def test_values_evaluates_rows_unlike_its_own_in_full():
                 rows[1, 1] = bad
             game = _PointwiseGame(x, scorer, rows)
             with mock.patch.object(scorer, "score_batch", wraps=scorer.score_batch) as score:
-                got = game.values(visible, np.arange(3))
+                got = game.walk_values(np.tile([0, 3], (3, 1)), np.arange(3))[:, 0]
                 expected = [scorer.score(np.where(visible[0], x, r)) for r in rows]
             assert len(score.call_args_list[0].args[0]) == 1
             assert got.tobytes() == np.array(expected).tobytes()
