@@ -10,9 +10,9 @@ permutation sampling its `walk_values`, one background index per walk.
 When `value_fn` is a game's bound `value` and no `mean_value_fn` is given,
 that is the game itself on its own background, whose table is kept, and
 otherwise that game's scorer, rows and reduce over the given background.
-Any other `value_fn` is lifted one coalition and row at a time, and a
-`mean_value_fn(S)` given to the exact or kernel estimator is called once per
-coalition instead.
+Any other `value_fn` is called once per coalition and background row, or
+walk and prefix, and a `mean_value_fn(S)` given to the exact or kernel
+estimator once per coalition instead.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ class Attribution:
 
 
 ValueFn = Callable[[Sequence[int], np.ndarray], float]
-ValuesFn = Callable[..., np.ndarray]
 
 
 def shapley_weight(n: int, s: int) -> float:
@@ -183,23 +182,23 @@ def _members(visible: np.ndarray) -> tuple[int, ...]:
 
 
 class _GameOver(CoalitionGame):
-    """A game over a given background whose `_values` is the given `values(visible,
-    rows, index=None)`; it has no scored rows, so it walks through `_values` one
-    depth at a time. Each coalition mean, in `means` or `table()`, is one
-    `mean_value_fn(S)` call instead, unless that is None."""
+    """A game over a given background that lifts `value_fn(S, b)`: its `_grid` calls
+    it once per coalition and background row, coalition by coalition, and its
+    `walk_values` once per walk and prefix. Each coalition mean, in `means` or
+    `table()`, is one `mean_value_fn(S)` call instead, unless that is None."""
 
-    def __init__(self, n: int, B: np.ndarray, values: ValuesFn, mean_value_fn):
+    def __init__(self, n: int, B: np.ndarray, value_fn: ValueFn, mean_value_fn):
         super().__init__(n, B)
-        self._values = values
+        self._value_fn = value_fn
         self._mean_value_fn = mean_value_fn
 
+    def _grid(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.array([[self._value_fn(_members(v), b) for b in rows] for v in visible])
+
     def walk_values(self, walk: np.ndarray, index: np.ndarray) -> np.ndarray:
-        (c, r), inv = walk.shape, self._inverse[index]
-        visible, out = np.zeros((c, self.n), dtype=bool), np.empty((c, r + 1))
-        for j in range(r + 1):  # prefix j shows the first j features of each walk
-            visible[np.arange(c)[:, None], walk[:, :j]] = True
-            out[:, j] = self._values(visible, self._distinct, inv)
-        return out
+        rows, r = self._distinct[self._inverse[index]], walk.shape[1]
+        return np.array([[self._value_fn(tuple(sorted(w[:j].tolist())), b) for j in range(r + 1)]
+                         for w, b in zip(walk, rows)], dtype=float)
 
     def _grid_means(self, visible: np.ndarray) -> np.ndarray:
         if self._mean_value_fn is None:
@@ -221,12 +220,7 @@ def _as_game(value_fn: ValueFn, n: int, B: np.ndarray, mean_value_fn=None) -> Co
         over = CoalitionGame(n, B, game.scorer, game.X)
         over._reduce = game._reduce
         return over
-
-    def values(visible, rows, index=None):
-        rows = rows if index is None else rows[index]
-        return np.array([value_fn(_members(v), b) for v, b in zip(visible, rows)])
-
-    return _GameOver(n, B, values, mean_value_fn)
+    return _GameOver(n, B, value_fn, mean_value_fn)
 
 
 def exact_shapley(
@@ -443,8 +437,10 @@ class _PointwiseGame(CoalitionGame):
         super().__init__(X.shape[1], B, scorer, X)
 
     def _reduce(self, scores: np.ndarray) -> np.ndarray:
-        # A plain mean turns a lone -0.0 score into 0.0; one document keeps its bytes.
-        return scores.sum(axis=1, initial=-0.0) / scores.shape[1]
+        # The documents' scores added left to right, as a sum from -0.0 adds them:
+        # numpy's pairwise `sum` takes another order from 8 documents on, and a
+        # plain mean turns a lone -0.0 score into 0.0.
+        return np.add.accumulate(scores, axis=1)[:, -1] / scores.shape[1]
 
 
 def pointwise_shap_explain(

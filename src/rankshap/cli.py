@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attribution import ESTIMATORS, EstimatorConfig, rankingshap_explain
+from .attribution import ESTIMATORS, Attribution, EstimatorConfig, rankingshap_explain
 from .data import group_by_query, parse_letor, sample_background
 from .errors import DimensionError, RankShapError, naming_query
 from .evaluation import (
@@ -63,6 +63,13 @@ def _objective(spec: str, group, scorer):
     return make_objective(spec, reference_ranking(group, scorer))
 
 
+def _check_positive(args, *flags: str) -> None:
+    """Refuse, before any query runs, a count flag below 1, naming the flag."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)}")
+
+
 def _seed(text: str) -> int:
     """The `--seed` argument type: a non-negative integer, as numpy's RNG needs."""
     try:
@@ -113,6 +120,7 @@ def cmd_explain(args) -> int:
 def cmd_ground_truth(args) -> int:
     if args.runs < 2:
         raise ValueError("ground truth needs --runs >= 2 (std undefined otherwise)")
+    _check_positive(args, "nsamples", "background")
     sizes = _sample_sizes(args.stability) if args.stability else None
     docs, groups, scorer = _load_inputs(args)
     if args.query is not None:
@@ -161,8 +169,6 @@ def cmd_ground_truth(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.gt_file:
-        from .attribution import Attribution
-
         stray = [f"--{flag}" for flag in ("data", "scorer") if getattr(args, flag) is not None]
         if stray:
             raise ValueError(f"evaluate --gt-file does not read {' or '.join(stray)}")
@@ -193,6 +199,7 @@ def cmd_evaluate(args) -> int:
     for flag in ("data", "scorer"):
         if getattr(args, flag) is None:
             raise ValueError(f"evaluate needs --{flag} unless --gt-file is given")
+    _check_positive(args, "background")
     _, groups, scorer = _load_inputs(args)
     if all(len(g) == 1 for g in groups):
         raise ValueError(f"no query in {args.data} has 2 or more documents")

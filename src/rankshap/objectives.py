@@ -212,12 +212,12 @@ def make_objective(spec: str, reference) -> ListwiseObjective:
 class CoalitionGame:
     """Coalition game v(S, b) over a background, evaluated in batches.
 
-    `_values` masks the scored rows `X` with background rows, scores them and
-    reduces each coalition's scores with the `_reduce` a subclass implements:
-    one value per (coalition, row) pair. `_grid_means` averages it over the
-    background, evaluating each distinct row once per coalition; `means` (and
-    `mean_value`, a one-coalition `means`) and `table` call it. `walk_values`
-    evaluates the prefixes of walks, and `value` one coalition and any row.
+    `_grid` masks the scored rows `X` with background rows, scores them and
+    reduces each masked list's scores with the `_reduce` a subclass implements:
+    a grid of values, one per coalition and background row. `_grid_means`
+    averages it over the distinct background rows; `means` (and `mean_value`, a
+    one-coalition `means`) and `table` call it. `walk_values` evaluates the
+    prefixes of walks, and `value` one coalition on any row.
     Once `table` has evaluated every coalition, `means` reads it.
 
     Given the `scorer` and the rows it scores, the game plays only the columns
@@ -248,33 +248,23 @@ class CoalitionGame:
             raise ValueError(f"scorer {scorer.name}: reads({n}) must be strictly increasing"
                              f" feature indices in [0, {n}), got {reads.tolist()}")
         self._played = reads.astype(np.intp)  # np.asarray([]) is float
-        if len(self._played) < n:  # `_values` gets those columns alone
+        if len(self._played) < n:  # `_grid` gets those columns alone
             self._cols = self._played
         self._X = np.ascontiguousarray(self.X[:, self._cols])  # X[:, cols] is F-ordered
 
-    def _values(self, visible: np.ndarray, rows: np.ndarray,
-                index: np.ndarray | None = None) -> np.ndarray:
-        """v of k coalitions, one per row of the boolean `visible`, and of k background
-        rows, `rows` or, given `index`, `rows[index]`, both on the columns `_cols`: `X`
-        masked by each pair, scored and reduced. A chunk holds whole batches of the
-        distinct background rows within MASK_BUDGET_BYTES of masked rows and hidden
-        entries with their indices, and at least one batch; one score call each. The
-        hidden entries are read from `rows` in place, so no row is copied per pair."""
-        m, n = self._X.shape
-        step = chunk_size(m * n * 8 + 24 * n, len(self._distinct))
-        out = np.empty(len(rows) if index is None else len(index))
-        for lo in range(0, len(out), step):
-            vis = visible[lo:lo + step]
-            k = len(vis)
-            # (k, m, n): a copy of X per pair, with the pair's hidden background
-            # entries, read from `rows` in place, scattered into every row of X alike.
-            masked = np.repeat(self._X[None], k, axis=0)
-            c, j = np.nonzero(~vis)
-            masked[c, :, j] = rows[lo + c if index is None else index[lo + c], j, None]
-            scores = self.scorer.score_batch(masked.reshape(k * m, n))
-            del masked  # before the reduce and the next chunk's copy: lowers peak memory
-            out[lo:lo + k] = self._reduce(scores.reshape(k, m))
-        return out
+    def _grid(self, visible: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (c, k) grid of v: c coalitions, the (c, r) boolean `visible`, on k
+        background `rows`, (k, r), both on the columns `_cols`. X is copied once per
+        cell, each coalition's hidden entries are read from `rows` in place and
+        scattered in one row at a time, and the grid is scored and reduced at once."""
+        (c, r), k, m = visible.shape, len(rows), len(self._X)
+        masked = np.repeat(self._X[None], c * k, axis=0).reshape(c, k, m, r)
+        h, j = np.nonzero(~visible)
+        b = np.arange(k)[:, None]
+        masked[h, b, :, j] = rows[b, j, None]
+        scores = self.scorer.score_batch(masked.reshape(c * k * m, r))
+        del masked  # before the reduce and the next chunk's copy: lowers peak memory
+        return self._reduce(scores.reshape(c * k, m)).reshape(c, k)
 
     def _reduce(self, scores: np.ndarray) -> np.ndarray:
         """Values of a (c, m) score matrix, one per row; subclasses implement it."""
@@ -307,7 +297,7 @@ class CoalitionGame:
 
     def value(self, visible, b: np.ndarray) -> float:
         C = self._cols
-        return float(self._values(self._visible(visible)[:, C], np.asarray(b, float)[None, C])[0])
+        return float(self._grid(self._visible(visible)[:, C], np.asarray(b, float)[None, C])[0, 0])
 
     def table(self) -> np.ndarray:
         """Read-only `means` of all 2^n coalitions by bitmask (bit i set: feature
@@ -346,20 +336,19 @@ class CoalitionGame:
         return self._grid_means(visible[first])[inverse]
 
     def _grid_means(self, visible: np.ndarray) -> np.ndarray:
-        """Background means of coalitions that differ on the played columns, paired
-        with the index of each distinct background row in chunks of as many as their
-        rows would fill MASK_BUDGET_BYTES, and read back in background order."""
-        k = len(self._distinct)
+        """Background means of coalitions that differ on the played columns: a `_grid`
+        on the distinct background rows per chunk of as many coalitions as their masked
+        rows, hidden-entry indices and entries fit in MASK_BUDGET_BYTES, and at least
+        one, read back in background order."""
+        m = 0 if self.X is None else len(self.X)
         out = np.empty(len(visible))
-        step = chunk_size(self._distinct.nbytes)
+        step = chunk_size(self._distinct.nbytes * m + 24 * self._distinct.size)
         for lo in range(0, len(visible), step):
-            vis = visible[lo:lo + step, self._cols]
-            c = len(vis)
-            vals = self._values(np.repeat(vis, k, axis=0), self._distinct, np.arange(c * k) % k)
+            vals = self._grid(visible[lo:lo + step, self._cols], self._distinct)
             # np.take gives a C-contiguous (c, len(inverse)) array, whose row means
             # sum in the order of a full evaluation; vals[:, inverse] is F-ordered
             # and sums in another order.
-            out[lo:lo + c] = np.take(vals.reshape(c, k), self._inverse, axis=1).mean(axis=1)
+            out[lo:lo + len(vals)] = np.take(vals, self._inverse, axis=1).mean(axis=1)
         return out
 
     def mean_value(self, visible) -> float:

@@ -2,8 +2,9 @@
 objectives, the kernel SHAP coalition draw, greedy selection, the
 talent-search model and the pointwise baseline.
 
-The package computes the listwise game only in batches (`ListwiseGame._values`,
-`ListwiseGame.walk_values` and the objective classes' `evaluate_many`),
+The package computes the listwise game only in batches (`ListwiseGame._grid`,
+a grid of coalitions times background rows, `ListwiseGame.walk_values` and
+the objective classes' `evaluate_many`),
 background means over the distinct background rows only, the kernel design
 as boolean rows merged by `masking.first_rows` (`attribution._kernel_design`),
 permutation sampling one depth of a chunk of walks per scorer call, in one

@@ -521,8 +521,8 @@ def pointwise_instance(n, m, bsize, seed, scorer_kind, positive):
 @given(
     kind=st.sampled_from(["exact", "kernel", "permutation"]),
     n=st.integers(1, 6),
-    m=st.integers(1, 7),
-    top_docs=st.integers(1, 7),
+    m=st.integers(1, 12),
+    top_docs=st.integers(1, 12),
     bsize=st.integers(1, 5),
     seed=st.integers(0, 2**16),
     scorer_kind=st.sampled_from(["linear", "signed", "talent"]),

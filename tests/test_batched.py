@@ -5,14 +5,15 @@ of its arguments: the game itself when `value_fn` is its bound `value` on its
 own background, else that game's scorer, rows and reduce over the given
 background, or a game that lifts any other value function one coalition at a
 time, and whose means body calls a given `mean_value_fn` once per coalition.
-`_values` evaluates many coalitions per scorer call through the one masking
-body that the listwise and the pointwise game share, cut into chunks of whole
-background batches within MASK_BUDGET_BYTES, and `walk_values` evaluates one
-depth of many permutation walks per scorer call. The exact and permutation estimators fed by `game.value`
+`_grid` evaluates a grid of coalitions times background rows per scorer call
+through the one masking body that the listwise and the pointwise game share,
+and `_grid_means` cuts the coalitions into chunks within MASK_BUDGET_BYTES;
+`walk_values` evaluates one depth of many permutation walks per scorer call.
+The exact and permutation estimators fed by `game.value`
 must match, bit for bit, the same estimators fed by a wrapper of
 `game.value` or by `game.mean_value`, for every chunking; so must the kernel
 estimator fed by `game.value`, and the pointwise kernel, which evaluates its
-coalitions through `_PointwiseGame._values`. Greedy selection, which
+coalitions through `_PointwiseGame._grid`. Greedy selection, which
 evaluates each step's candidates in one `ListwiseGame.means` call, must walk
 as the one-coalition oracle does. Background means evaluate each distinct
 background row once; with repeated rows they must match a mean that
@@ -168,18 +169,21 @@ def test_kernel_value_fn_matches_mean_value_fn(n_samples, n, m, bsize, seed, int
 
 
 def test_kernel_value_fn_is_tiled_in_budget_chunks():
-    # Without mean_value_fn the kernel tiles its coalitions over the
-    # background; each tiled batch stays within the mask budget. The scorer
-    # reads every feature, so that no two coalitions share a pattern.
+    # Without mean_value_fn the kernel masks its coalitions on the background in
+    # grids; each grid stays within the mask budget. The scorer reads every
+    # feature, so that no two coalitions share a pattern.
     game, background = make_game(6, 3, 4, 2, interaction=True)
-    budget = 3 * len(background.vectors) * game.n * 8  # three coalitions
+    k = len(background.vectors)
+    assert len(game._distinct) == k
+    # Three coalitions: their masked rows, hidden-entry indices and entries.
+    budget = 3 * (game._distinct.nbytes * game.m + 24 * game._distinct.size)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        ListwiseGame, "_values", autospec=True, side_effect=ListwiseGame._values
-    ) as values:
+        ListwiseGame, "_grid", autospec=True, side_effect=ListwiseGame._grid
+    ) as grid:
         attr = kernel_shap(game.value, game.n, background, 40, 0)
-    rows_per_call = [len(call.args[1]) for call in values.call_args_list]
-    assert max(rows_per_call) == 3 * len(background.vectors)
-    assert sum(rows_per_call) == attr.meta["coalitions_evaluated"] * len(background.vectors)
+    cells_per_call = [len(call.args[1]) * len(call.args[2]) for call in grid.call_args_list]
+    assert max(cells_per_call) == 3 * k
+    assert sum(cells_per_call) == attr.meta["coalitions_evaluated"] * k
 
 
 class RoutedGame:
@@ -212,7 +216,7 @@ def test_estimators_take_the_batched_route_of_the_game_value_is_bound_to(kind):
     bound, bound_calls = scorer_calls(game.value)
     lifted, lifted_calls = scorer_calls(lambda S, b: game.value(S, b))
     assert_same(bound, lifted)
-    # Lifted, each (coalition, background row) pair is one scorer call: the
+    # Lifted, each coalition on each background row is one scorer call: the
     # exact and kernel coalitions over the 3 rows, the 6 prefixes per sample.
     coalitions = 32 if kind == "exact" else lifted.meta.get("coalitions_evaluated")
     assert lifted_calls == (40 * 6 if kind == "permutation" else coalitions * 3)
@@ -314,26 +318,27 @@ def test_means_mean_value_and_table_match_the_oracles(positive, repeats, n, m, b
 
 
 @pytest.mark.parametrize("pointwise", [False, True], ids=["listwise", "pointwise"])
-def test_values_chunks_whole_background_batches(pointwise):
-    # A scorer that reads every feature, so that no pair shares its key.
+def test_grid_means_chunks_whole_coalitions(pointwise):
+    # A scorer that reads every feature, so that no coalition shares its key.
     game, background = make_game(4, 3, 2, 1, interaction=True)
     m = game.m
     if pointwise:
         game, m = _PointwiseGame(game.X[0], game.scorer, background.vectors), 1
-    k = 7 * len(background.vectors)
+    k = len(game._distinct)
     rng = np.random.default_rng(0)
-    visible = rng.random((k, 4)) < 0.5
-    index = game._inverse[np.tile(np.arange(len(background.vectors)), 7)]
-    whole = game._values(visible, game._distinct, index)
-    # Room for exactly 2 background batches (4 coalitions) per chunk: masked
-    # rows and the hidden entries with their indices.
-    budget = 4 * (m * game.n * 8 + 24 * game.n)
-    with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        game.scorer, "score_batch", wraps=game.scorer.score_batch
-    ) as score:
-        chunked = game._values(visible, game._distinct, index)
-    assert [c.args[0].shape[0] for c in score.call_args_list] == [4 * m, 4 * m, 4 * m, 2 * m]
-    assert chunked.tobytes() == whole.tobytes()
+    visible = rng.random((7, 4)) < 0.5
+    whole = game._grid_means(visible)
+    # A coalition's masked rows and the hidden entries with their indices.
+    coalition = game._distinct.nbytes * m + 24 * game._distinct.size
+    for per_chunk, budget in [(1, 1), (1, coalition), (2, 2 * coalition),
+                              (3, 4 * coalition - 1), (7, masking.MASK_BUDGET_BYTES)]:
+        with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
+            game.scorer, "score_batch", wraps=game.scorer.score_batch
+        ) as score:
+            chunked = game._grid_means(visible)
+        sizes = [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+        assert [c.args[0].shape[0] for c in score.call_args_list] == [s * k * m for s in sizes]
+        assert chunked.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,8 +353,8 @@ def test_greedy_batched_matches_scalar_walk(
     game = ListwiseGame(group, scorer, objective, background)
     expected = oracles.greedy_select(game.mean_value, n, k, stop_on_negative=stop_on_negative)
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget), mock.patch.object(
-        ListwiseGame, "_values", autospec=True, side_effect=ListwiseGame._values
-    ) as values:
+        ListwiseGame, "_grid", autospec=True, side_effect=ListwiseGame._grid
+    ) as grid:
         result = greedy_attribution(
             ListwiseGame(group, scorer, objective, background), k,
             stop_on_negative=stop_on_negative,
@@ -366,7 +371,7 @@ def test_greedy_batched_matches_scalar_walk(
     assert result.evaluations == expected.evaluations + min(len(selected), 2)
     if budget == masking.MASK_BUDGET_BYTES:
         # The empty coalition, one call per step, and the marginal batch.
-        assert values.call_count == 1 + steps + (len(selected) > 0)
+        assert grid.call_count == 1 + steps + (len(selected) > 0)
 
 
 def make_pointwise_instance(n, m, bsize, seed, talent):

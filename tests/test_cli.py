@@ -420,6 +420,27 @@ def test_non_finite_score_exit_2_naming_the_query(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["ground-truth", "--runs", "2"], "--nsamples", "-3"),
+    (["ground-truth", "--runs", "2"], "--background", "0"),
+    (["evaluate"], "--background", "-1"),
+])
+def test_count_flag_below_1_exit_2_naming_the_flag(workspace, capsys, command, flag, value):
+    # Checked before any query runs, so the message names the flag, not a query.
+    tmp, data, scorer = workspace
+    out = tmp / "o"
+    with mock.patch.object(cli, "estimate_ground_truth") as gt, mock.patch.object(
+        cli, "run_benchmark"
+    ) as benchmark:
+        code = main([*command, flag, value, "--data", str(data), "--scorer", str(scorer),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be positive, got {value}\n"
+    gt.assert_not_called()
+    benchmark.assert_not_called()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("warn", ["error", "default"])
 @pytest.mark.parametrize("estimator", ["exact", "kernel", "permutation"])
 def test_pointwise_overflow_exit_2_naming_the_query(tmp_path, capsys, estimator, warn):
@@ -688,7 +709,7 @@ def twelve_feature_inputs(tmp_path):
 def test_kernel_budget_below_2n_minus_1_exit_2_before_any_scoring(tmp_path, capsys, command,
                                                                  nsamples):
     out = tmp_path / "out"
-    with mock.patch.object(ListwiseGame, "_values") as values, mock.patch.object(
+    with mock.patch.object(ListwiseGame, "_grid") as grid, mock.patch.object(
         evaluation, "exact_shapley"
     ) as exact:
         code = main([command, *twelve_feature_inputs(tmp_path), "--nsamples", str(nsamples),
@@ -696,7 +717,7 @@ def test_kernel_budget_below_2n_minus_1_exit_2_before_any_scoring(tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert "n_samples >= 2n - 1 = 23" in err and f"got {nsamples}" in err
-    values.assert_not_called()
+    grid.assert_not_called()
     exact.assert_not_called()
     assert not out.exists() and not out.with_suffix(".jsonl").exists()
 

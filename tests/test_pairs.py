@@ -1,16 +1,18 @@
-"""The pair layer: `CoalitionGame._values(visible, rows, index)`, its masking
-body, and the walks of permutation sampling, `CoalitionGame.walk_values`.
+"""The masking bodies of the game: `CoalitionGame._grid(visible, rows)`, which
+masks a grid of coalitions times background rows, and the walks of
+permutation sampling, `CoalitionGame.walk_values`.
 
-`_values` takes one coalition and one index into the game's distinct
-background rows per pair: each pair's value must equal the game evaluated on
-`background[index]` alone, by the scalar oracles. It masks a chunk by copying
-`X` once per pair and scattering each pair's hidden background entries in;
-both steps are copies, so the masked rows must be the bytes of `np.where`,
-signed zeros, infinities and subnormals included. `walk_values` masks one
-buffer per chunk of walks, one column of `X` per walk and depth, and scores
-each distinct list once only at the depths where lists must repeat; none of
-that may move a byte of the walk one prefix at a time. Permutation sampling
-and background means pass indices, so they hold no copy of their rows.
+Each cell of `_grid` must equal the game evaluated on its coalition and
+background row alone, by the scalar oracles. `_grid` masks by copying `X`
+once per cell and scattering each coalition's hidden background entries in,
+one background row at a time; both steps are copies, so the masked rows must
+be the bytes of `np.where`, signed zeros, infinities and subnormals included,
+also as `_grid_means` chunks the coalitions. `walk_values` masks one buffer
+per chunk of walks, one column of `X` per walk and depth, and scores each
+distinct list once only at the depths where lists must repeat; none of that
+may move a byte of the walk one prefix at a time. Permutation sampling and
+background means read the distinct background rows in place, so they hold no
+copy of their rows.
 """
 
 import math
@@ -38,7 +40,7 @@ from rankshap.objectives import ListwiseGame
 from rankshap.rankers import Scorer
 
 
-def pair_instance(kind, n, m, bsize, seed, twins):
+def grid_instance(kind, n, m, bsize, seed, twins):
     """Rows, a scorer and a background with repeated rows. Linear weights hold
     0.0 and -0.0 (none for "dense"); columns are of one sign or mixed, one
     unread column holds -0.0 in a background row and 0.0 in the others, and
@@ -72,17 +74,12 @@ def pair_instance(kind, n, m, bsize, seed, twins):
     return X, (SignedLinear if kind == "signed" else LinearScorer)(w), B
 
 
-def prefix_pairs(rng, n, walks, index_count):
-    """The n+1 prefixes of `walks` permutations, each with one background index,
-    as permutation sampling passes them, then random coalitions and indices."""
-    visible, index = [], []
-    for _ in range(walks):
-        pos = np.argsort(rng.permutation(n))
-        visible.append(np.arange(n + 1)[:, None] > pos)
-        index.append(np.full(n + 1, rng.integers(index_count)))
-    visible.append(rng.random((3, n)) < 0.5)
-    index.append(rng.integers(index_count, size=3))
-    return np.vstack(visible), np.concatenate(index)
+def prefix_coalitions(rng, n, walks):
+    """The n+1 prefixes of `walks` permutations, as permutation sampling visits
+    them, then random coalitions."""
+    visible = [np.arange(n + 1)[:, None] > np.argsort(rng.permutation(n))
+               for _ in range(walks)]
+    return np.vstack([*visible, rng.random((3, n)) < 0.5])
 
 
 @settings(max_examples=80, deadline=None)
@@ -102,27 +99,30 @@ def prefix_pairs(rng, n, walks, index_count):
          shared=False, budget=masking.MASK_BUDGET_BYTES)
 @example(kind="signed", listwise=False, n=5, m=3, bsize=3, seed=8, twins=True, walks=2,
          shared=False, budget=200)
-def test_values_are_each_pair_on_its_background_row(kind, listwise, n, m, bsize, seed, twins,
-                                                     walks, shared, budget):
-    X, scorer, B = pair_instance(kind, n, m, bsize, seed, twins)
+def test_grid_cells_are_each_coalition_on_each_background_row(kind, listwise, n, m, bsize,
+                                                                seed, twins, walks, shared,
+                                                                budget):
+    X, scorer, B = grid_instance(kind, n, m, bsize, seed, twins)
     n = X.shape[1]
     group = make_group(X)
     objective = KendallTauObjective(reference_ranking(group, scorer))
     game = (ListwiseGame(group, scorer, objective, B) if listwise
             else _PointwiseGame(X[:1 + seed % len(X)], scorer, B))
     rng = np.random.default_rng(seed)
-    visible, index = prefix_pairs(rng, n, walks, len(B))
-    if shared:  # one coalition for every pair
+    visible = prefix_coalitions(rng, n, walks)
+    if shared:  # one coalition on every row
         visible = visible[:1]
-    visible = np.broadcast_to(visible, (len(index), n))
+    # Every background row, repeats and twins included, read in place; `_grid`
+    # masks the whole grid at once, whatever the budget.
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        got = game._values(visible[:, game._cols], game._distinct, game._inverse[index])
+        got = game._grid(visible[:, game._cols], B[:, game._cols])
     if listwise:
-        expected = [oracles.value_function(group, scorer, objective, ~v, B[i])
-                    for v, i in zip(visible, index)]
+        expected = [[oracles.value_function(group, scorer, objective, ~v, b) for b in B]
+                    for v in visible]
     else:
-        expected = [oracles.pointwise_value(scorer, game.X, np.flatnonzero(v), B[i])
-                    for v, i in zip(visible, index)]
+        expected = [[oracles.pointwise_value(scorer, game.X, np.flatnonzero(v), b) for b in B]
+                    for v in visible]
+    assert got.shape == (len(visible), len(B))
     assert got.tobytes() == np.array(expected).tobytes()
 
 
@@ -143,23 +143,30 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.5, 
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 4), k=st.integers(1, 12),
-       budget=st.sampled_from([1, 200, masking.MASK_BUDGET_BYTES]))
-def test_copy_and_scatter_masks_the_bytes_of_np_where(data, n, m, k, budget):
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 4), c=st.integers(1, 6),
+       k=st.integers(1, 6), budget=st.sampled_from([1, 200, masking.MASK_BUDGET_BYTES]))
+def test_copy_and_scatter_masks_the_bytes_of_np_where(data, n, m, c, k, budget):
     def specials(shape):
         flat = data.draw(st.lists(st.sampled_from(SPECIAL), min_size=int(np.prod(shape)),
                                   max_size=int(np.prod(shape))))
         return np.array(flat, dtype=float).reshape(shape)
 
     X, rows = specials((m, n)), specials((k, n))
-    visible = np.array(data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k)),
-                       dtype=bool).reshape(k, n)
+    visible = np.array(data.draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c)),
+                       dtype=bool).reshape(c, n)
     scorer = Recorder()
     game = _PointwiseGame(X, scorer, rows)
+
+    def where(rows):
+        return np.where(visible[:, None, None, :], X, rows[None, :, None, :]).reshape(-1, n)
+
+    game._grid(visible, rows)
+    assert np.vstack(scorer.batches).tobytes() == where(rows).tobytes()
+    # The means mask each chunk of coalitions on the distinct rows, by their bytes.
+    scorer.batches.clear()
     with mock.patch.object(masking, "MASK_BUDGET_BYTES", budget):
-        game._values(visible, rows)
-    expected = np.where(visible[:, None, :], X, rows[:, None, :]).reshape(k * m, n)
-    assert np.vstack(scorer.batches).tobytes() == expected.tobytes()
+        game._grid_means(visible)
+    assert np.vstack(scorer.batches).tobytes() == where(game._distinct).tobytes()
 
 
 def test_permutation_sampling_holds_no_copy_of_its_rows():
@@ -206,10 +213,10 @@ def test_permutation_sampling_peak_stays_within_twice_the_budget(read):
 
 @pytest.mark.parametrize("docs", [1, 2])
 def test_means_peak_stays_within_twice_the_budget(docs):
-    # One or two documents of 136 features, every one read: a pair's masked
-    # rows are no wider than the indices and entries of its hidden columns,
-    # which the budget counts too, and the means pass indices of the distinct
-    # background rows, not copies of them.
+    # One or two documents of 136 features, every one read: a grid cell's
+    # masked rows are no wider than the indices and entries of its hidden
+    # columns, which the budget counts too, and the means read the distinct
+    # background rows in place, not copies of them.
     rng = np.random.default_rng(0)
     n = 136
     scorer = LinearScorer(rng.normal(size=n))
@@ -229,7 +236,7 @@ def walk_instance(n, r, m, bsize, seed, pointwise):
     -0.0, with 0.0 and -0.0 weights on the others, a background with repeated
     rows and, when r > 0, a read column that holds 0.0 in every background row
     but -0.0 in one, and the listwise game of them or the pointwise game of up
-    to 5 documents, whose scores numpy sums in the order the oracle adds them."""
+    to 12 documents, whose scores the game adds in the order the oracle does."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n)
     w[rng.permutation(n)[r:]] = rng.choice([0.0, -0.0], size=n - r)
@@ -241,7 +248,7 @@ def walk_instance(n, r, m, bsize, seed, pointwise):
         B[rng.integers(len(B)), c] = -0.0
     group, scorer = make_group(X), SignedLinear(w)
     if pointwise:
-        return group, scorer, B, _PointwiseGame(X[:1 + seed % min(m, 5)], scorer, B)
+        return group, scorer, B, _PointwiseGame(X[:1 + seed % min(m, 12)], scorer, B)
     objective = KendallTauObjective(reference_ranking(group, scorer))
     return group, scorer, B, ListwiseGame(group, scorer, objective, B)
 
@@ -263,6 +270,9 @@ def walk_instance(n, r, m, bsize, seed, pointwise):
 @example(n=6, reads="two", m=5, bsize=4, seed=3, pointwise=False, walks=30, n_samples=30,
          budget=1)
 @example(n=6, reads="two", m=2, bsize=2, seed=4, pointwise=True, walks=30, n_samples=30,
+         budget=masking.MASK_BUDGET_BYTES)
+# A pointwise game of 12 documents, whose scores a pairwise sum adds in another order.
+@example(n=6, reads="all", m=20, bsize=3, seed=11, pointwise=True, walks=10, n_samples=10,
          budget=masking.MASK_BUDGET_BYTES)
 def test_walks_give_the_bytes_of_the_walk_one_prefix_at_a_time(n, reads, m, bsize, seed,
                                                                pointwise, walks, n_samples,
